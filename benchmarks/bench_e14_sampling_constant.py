@@ -13,9 +13,9 @@ the paper's choice is a rounds-robust point.
 from __future__ import annotations
 
 from repro.analysis import mean_ci, print_table
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import color_sample_party
+from repro.core import color_sample_proto
 
 PALETTE = 256
 CONSTANTS = (2, 8, 32, 150)
@@ -27,9 +27,9 @@ def sample_cost(m: int, k: int, constant: int, seed: int):
     blocked = m - k
     used_a = set(range(1, blocked // 2 + 1))
     used_b = set(range(blocked // 2 + 1, blocked + 1))
-    _, _, t = run_protocol(
-        color_sample_party(m, used_a, Stream.from_seed(seed), constant),
-        color_sample_party(m, used_b, Stream.from_seed(seed), constant),
+    _, _, t = TRANSPORTS["lockstep"].run(
+        (color_sample_proto, m, used_a, Stream.from_seed(seed), constant),
+        (color_sample_proto, m, used_b, Stream.from_seed(seed), constant),
     )
     return t.total_bits, t.rounds
 
@@ -56,8 +56,8 @@ def test_e14_sampling_constant_ablation(benchmark):
     assert summary[(2, 128)][0] < summary[(150, 128)][0]
     # ...but at scarce slack, small C needs more rounds (failed guesses).
     assert summary[(2, 1)][1] > summary[(150, 1)][1]
-    # Correctness held throughout (sample_cost asserts inside run_protocol
-    # via the protocols' own invariants); every configuration terminated.
+    # Correctness held throughout (sample_cost asserts inside the transport
+    # run via the protocols' own invariants); every configuration terminated.
     assert len(summary) == len(CONSTANTS) * len(SLACKS)
 
     benchmark(lambda: sample_cost(PALETTE, 8, 150, 17))

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 
 from repro.analysis import mean_ci, print_table
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import color_sample_party
+from repro.core import color_sample_proto
 from repro.core.slack import SAMPLING_CONSTANT
 
 PALETTE = 256
@@ -31,9 +31,9 @@ def sample_cost(m: int, k: int, seed: int):
     blocked = m - k
     used_a = set(range(1, blocked // 2 + 1))
     used_b = set(range(blocked // 2 + 1, blocked + 1))
-    _, _, t = run_protocol(
-        color_sample_party(m, used_a, Stream.from_seed(seed)),
-        color_sample_party(m, used_b, Stream.from_seed(seed)),
+    _, _, t = TRANSPORTS["lockstep"].run(
+        (color_sample_proto, m, used_a, Stream.from_seed(seed)),
+        (color_sample_proto, m, used_b, Stream.from_seed(seed)),
     )
     return t.total_bits, t.rounds
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 
 from repro.analysis import geometric_decay_rate, print_table
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import random_color_trial_party
+from repro.core import random_color_trial_proto
 
 from .conftest import regular_workload
 
@@ -25,12 +25,14 @@ DEGREE = 8
 def run_instrumented(seed: int):
     part = regular_workload(N, DEGREE, seed=seed)
     history: list[int] = []
-    (colors, active), _, t = run_protocol(
-        random_color_trial_party(
-            part.alice_graph, DEGREE + 1, Stream.from_seed(seed), None, history
+    (colors, active), _, t = TRANSPORTS["lockstep"].run(
+        (
+            random_color_trial_proto,
+            part.alice_graph, DEGREE + 1, Stream.from_seed(seed), None, history,
         ),
-        random_color_trial_party(
-            part.bob_graph, DEGREE + 1, Stream.from_seed(seed), None
+        (
+            random_color_trial_proto,
+            part.bob_graph, DEGREE + 1, Stream.from_seed(seed), None,
         ),
     )
     return history, len(active), t

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import random
 
-from repro.comm import Transcript, run_protocol
+from repro.comm import TRANSPORTS, Transcript
 from repro.rand import Stream
-from repro.core import d1lc_party
+from repro.core import d1lc_proto
 from repro.graphs import gnp_with_max_degree, is_proper_list_coloring, partition_random
 
 
@@ -60,11 +60,11 @@ def main() -> None:
     transcript = Transcript()
     active = list(conflicts.vertices())
     pub_a, pub_b = Stream.from_seed(5), Stream.from_seed(5)
-    timetable_a, timetable_b, _ = run_protocol(
-        d1lc_party("alice", split.alice_graph, lists_a, active, slots,
-                   pub_a, Stream.from_seed(5).derive_random("a")),
-        d1lc_party("bob", split.bob_graph, lists_b, active, slots,
-                   pub_b, Stream.from_seed(5).derive_random("b")),
+    timetable_a, timetable_b, _ = TRANSPORTS["lockstep"].run(
+        (d1lc_proto, "alice", split.alice_graph, lists_a, active, slots,
+         pub_a, Stream.from_seed(5).derive_random("a")),
+        (d1lc_proto, "bob", split.bob_graph, lists_b, active, slots,
+         pub_b, Stream.from_seed(5).derive_random("b")),
         transcript,
     )
     assert timetable_a == timetable_b

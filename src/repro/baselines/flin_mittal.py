@@ -11,14 +11,14 @@ precisely removing this round bottleneck.
 
 from __future__ import annotations
 
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream
 from ..core.color_sample import color_sample_proto
 from ..graphs.graph import Graph
 from ..graphs.partition import EdgePartition
 from .base import BaselineResult
 
-__all__ = ["flin_mittal_party", "flin_mittal_proto", "run_flin_mittal"]
+__all__ = ["flin_mittal_proto", "run_flin_mittal"]
 
 
 def flin_mittal_proto(
@@ -38,11 +38,6 @@ def flin_mittal_proto(
         )
         colors[v] = color
     return colors
-
-
-def flin_mittal_party(own_graph: Graph, num_colors: int, pub: Stream):
-    """Legacy generator-API adapter for :func:`flin_mittal_proto`."""
-    return as_party(flin_mittal_proto, own_graph, num_colors, pub)
 
 
 def run_flin_mittal(

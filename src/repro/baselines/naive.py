@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream
 from ..coloring.greedy import greedy_vertex_coloring
 from ..graphs.graph import Graph
 from ..graphs.partition import EdgePartition
 from .base import BaselineResult
 
-__all__ = ["naive_exchange_party", "naive_exchange_proto", "run_naive_exchange"]
+__all__ = ["naive_exchange_proto", "run_naive_exchange"]
 
 
 def naive_exchange_proto(ch: Channel, own_graph: Graph, num_colors: int):
@@ -31,11 +31,6 @@ def naive_exchange_proto(ch: Channel, own_graph: Graph, num_colors: int):
     )
     full = Graph(n, list(edges) + list(peer_edges))
     return greedy_vertex_coloring(full, num_colors=num_colors)
-
-
-def naive_exchange_party(own_graph: Graph, num_colors: int):
-    """Legacy generator-API adapter for :func:`naive_exchange_proto`."""
-    return as_party(naive_exchange_proto, own_graph, num_colors)
 
 
 def run_naive_exchange(

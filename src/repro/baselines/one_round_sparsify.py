@@ -21,7 +21,7 @@ import random
 
 from ..comm.bits import gamma_cost, uint_cost
 from ..comm.codecs import edge_list_codec
-from ..comm.transport import Channel, Transport, as_party, resolve_transport
+from ..comm.transport import Channel, Transport, resolve_transport
 from ..rand import Stream, derived_random
 from ..coloring.greedy import greedy_vertex_coloring
 from ..coloring.list_coloring import solve_list_coloring
@@ -29,12 +29,7 @@ from ..graphs.graph import Graph
 from ..graphs.partition import EdgePartition
 from .base import BaselineResult
 
-__all__ = [
-    "ack_list_size",
-    "one_round_sparsify_party",
-    "one_round_sparsify_proto",
-    "run_one_round_sparsify",
-]
+__all__ = ["ack_list_size", "one_round_sparsify_proto", "run_one_round_sparsify"]
 
 #: Multiplier on ``log₂ n`` for the per-vertex list size of [ACK19].
 LIST_FACTOR = 4.0
@@ -86,16 +81,6 @@ def one_round_sparsify_proto(
     )
     full = Graph(n, list(edges) + list(peer_edges))
     return greedy_vertex_coloring(full, num_colors=num_colors)
-
-
-def one_round_sparsify_party(
-    own_graph: Graph,
-    num_colors: int,
-    pub: Stream,
-    solver_rng: random.Random,
-):
-    """Legacy generator-API adapter for :func:`one_round_sparsify_proto`."""
-    return as_party(one_round_sparsify_proto, own_graph, num_colors, pub, solver_rng)
 
 
 def run_one_round_sparsify(

@@ -5,12 +5,14 @@ two-party model over an edge-partitioned graph with public randomness and
 simultaneous-exchange rounds — implemented as a deterministic lockstep
 simulator with exact bit accounting.
 
-Protocols talk to the substrate through the :class:`Channel` API
-(``send``/``exchange``, ``phase`` scoping, keyed ``parallel``
-sub-channels) backed by one of three pluggable transports: ``lockstep``
-(reference semantics), ``count`` (no payload wrappers or round logs — the
-fast path for large sweeps), and ``strict`` (every payload encoded through
-the codecs, declared sizes verified on every message).
+Protocols talk to the substrate through one API: a channel protocol
+(a generator function taking a :class:`Channel`) speaks through
+``send``/``exchange``, ``phase`` scoping and keyed ``parallel``
+sub-channels, and ``Transport.run`` executes an Alice/Bob pair on one of
+three pluggable transports: ``lockstep`` (reference semantics), ``count``
+(no payload wrappers or round logs — the fast path for large sweeps), and
+``strict`` (every payload encoded through the codecs, declared sizes
+verified on every message).
 
 The randomness substrate itself lives in :mod:`repro.rand` (counter-based
 splittable streams); ``repro.comm.randomness`` keeps only the model-level
@@ -42,7 +44,6 @@ from .bits import (
 )
 from .ledger import PhaseStats, Transcript
 from .messages import BatchMsg, Msg
-from .parallel import compose_parallel
 from .randomness import newman_overhead_bits
 from .transport import (
     TRANSPORTS,
@@ -52,10 +53,8 @@ from .transport import (
     ProtocolDesyncError,
     StrictTransport,
     Transport,
-    as_party,
     resolve_transport,
 )
-from .runner import run_protocol
 
 __all__ = [
     "BatchMsg",
@@ -72,10 +71,8 @@ __all__ = [
     "TRANSPORTS",
     "Transcript",
     "Transport",
-    "as_party",
     "bit_length",
     "bitmap_cost",
-    "compose_parallel",
     "decode_bounded_count",
     "decode_color_vector",
     "decode_cover_payload",
@@ -89,7 +86,6 @@ __all__ = [
     "gamma_cost",
     "newman_overhead_bits",
     "resolve_transport",
-    "run_protocol",
     "uint_cost",
     "uint_width",
     "verify_declared_cost",

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = ["PhaseStats", "Transcript"]
 
@@ -53,7 +51,6 @@ class Transcript:
         #: when ``record_log`` is false.
         self.round_log: list[tuple[int, int]] = []
         self._phases: dict[str, PhaseStats] = {}
-        self._active_phases: list[str] = []
 
     @property
     def total_bits(self) -> int:
@@ -69,22 +66,6 @@ class Transcript:
         """Statistics for phase ``name`` (zeros if the phase never ran)."""
         return self._phases.get(name, PhaseStats())
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[PhaseStats]:
-        """Attribute all costs recorded inside the block to ``name``.
-
-        Phases may nest; costs are attributed to every active phase, so an
-        outer phase sees the sum of its inner phases plus its own traffic.
-        """
-        stats = self._phases.setdefault(name, PhaseStats())
-        self._active_phases.append(name)
-        try:
-            yield stats
-        finally:
-            popped = self._active_phases.pop()
-            if popped != name:  # pragma: no cover - defensive
-                raise RuntimeError(f"phase nesting corrupted: {popped} != {name}")
-
     def record_round(
         self,
         bits_a_to_b: int,
@@ -93,10 +74,9 @@ class Transcript:
     ) -> None:
         """Record one simultaneous exchange round.
 
-        ``phases`` names additional phases (beyond the ones opened with
-        :meth:`phase`) to attribute this round to — the transports pass
-        the parties' channel-level phase stack here.  A name appearing in
-        both sources is attributed once.
+        ``phases`` names the phases to attribute this round to — the
+        transports pass the parties' channel-level phase stack here, so an
+        outer phase sees the sum of its inner phases plus its own traffic.
         """
         if bits_a_to_b < 0 or bits_b_to_a < 0:
             raise ValueError("bit counts must be non-negative")
@@ -109,7 +89,7 @@ class Transcript:
             self.messages += 1
         if bits_b_to_a:
             self.messages += 1
-        if phases or self._active_phases:
+        if phases:
             self._attribute(bits_a_to_b, bits_b_to_a, 1, phases)
 
     def _attribute(
@@ -119,19 +99,8 @@ class Transcript:
         rounds: int,
         phases: tuple[str, ...],
     ) -> None:
-        """Attribute a (possibly multi-round) cost to every active phase.
-
-        The active set is the union of the externally opened phases
-        (:meth:`phase`) and the transport-supplied channel stack, each
-        name counted once.
-        """
-        active = self._active_phases
-        if phases:
-            extra = [name for name in phases if name not in active]
-            names = [*active, *extra] if extra else active
-        else:
-            names = active
-        for name in names:
+        """Attribute a (possibly multi-round) cost to every named phase."""
+        for name in phases:
             stats = self._phases.setdefault(name, PhaseStats())
             stats.rounds += rounds
             stats.bits_alice_to_bob += bits_a_to_b
@@ -159,7 +128,7 @@ class Transcript:
         self.bits_alice_to_bob += bits_a_to_b
         self.bits_bob_to_alice += bits_b_to_a
         self.messages += messages
-        if phases or self._active_phases:
+        if phases:
             self._attribute(bits_a_to_b, bits_b_to_a, rounds, phases)
 
     def canonical(self, with_log: bool = False) -> bytes:

@@ -1,6 +1,6 @@
 """The Channel/Transport API: session objects over pluggable lockstep cores.
 
-This module is the redesigned front door of the two-party simulator.  A
+This module is the one protocol API of the two-party simulator.  A
 *channel protocol* is a generator function taking a :class:`Channel` as its
 first argument and speaking through it:
 
@@ -20,21 +20,21 @@ first argument and speaking through it:
   must be in identical phase stacks each round — a mismatch is a desync);
 * ``results = yield from ch.parallel({key: spec})`` — keyed sub-channels
   sharing rounds (the round cost is the max over sub-protocols, the bit
-  cost the sum), subsuming ``compose_parallel``/``BatchMsg``.  A spec is a
-  factory ``factory(sub) -> generator``, a *spec tuple*
-  ``(proto, arg1, ...)`` invoked as ``proto(sub, arg1, ...)`` (cheaper than
-  building one closure per key in per-vertex fan-outs), or — for legacy
-  interop on ``Msg``-wire transports — an already-built party generator.
+  cost the sum).  A spec is a factory ``factory(sub) -> generator`` or a
+  *spec tuple* ``(proto, arg1, ...)`` invoked as ``proto(sub, arg1, ...)``
+  (cheaper than building one closure per key in per-vertex fan-outs).
+  ``Transport.run`` takes the same two forms for Alice and Bob; anything
+  else (notably an already-built generator) raises ``TypeError``.
 
 Behind the channel sit three transports sharing one
 :class:`~repro.comm.ledger.Transcript` contract:
 
 * :class:`LockstepTransport` — reference semantics: every message is a real
   :class:`Msg`/:class:`BatchMsg`, every parallel round allocates fresh
-  scaffolding, the per-round log is kept, and desync detection matches the
-  legacy runner exactly.  This transport is deliberately *not* pooled: it
-  is the fresh-allocation reference the pooled count path is checked
-  against (bit-for-bit) and benchmarked against (``--compare-transports``).
+  scaffolding, and the per-round log is kept.  This transport is
+  deliberately *not* pooled: it is the fresh-allocation reference the
+  pooled count path is checked against (bit-for-bit) and benchmarked
+  against (``--compare-transports``).
 * :class:`CountOnlyTransport` — the allocation-free fast path for large
   sweeps: payloads travel bare on the wire (no ``Msg``, no per-send
   tuples), declared bits accumulate in an integer tally on the channel,
@@ -45,10 +45,6 @@ Behind the channel sit three transports sharing one
   encoded through :mod:`repro.comm.codecs` and its declared ``nbits`` must
   equal the encoded length, turning the sampled codec tests into a
   transport mode.
-
-``run_protocol`` in :mod:`repro.comm.runner` remains a thin compatibility
-shim over :class:`LockstepTransport`, and :func:`as_party` adapts a channel
-protocol back into a legacy ``Msg``-yielding party generator.
 
 Pooling & object lifetimes (count transport)
 --------------------------------------------
@@ -71,7 +67,7 @@ wire are frozen and may be *interned* (shared), never recycled — see
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Generator, Hashable, Iterator, Mapping, Tuple
+from typing import Any, Generator, Hashable, Iterator, Mapping, Tuple
 
 from . import telemetry as _telemetry
 from .codecs import Codec, verify_declared_cost
@@ -86,7 +82,6 @@ __all__ = [
     "StrictTransport",
     "TRANSPORTS",
     "Transport",
-    "as_party",
     "resolve_transport",
 ]
 
@@ -95,13 +90,9 @@ class ProtocolDesyncError(RuntimeError):
     """Raised when Alice's and Bob's round (or phase) schedules disagree."""
 
 
-#: A channel protocol: a generator function whose first argument is the
-#: channel (further arguments are protocol inputs).
-ChannelProtocol = Callable[..., Generator[Any, Any, Any]]
 #: What ``Transport.run`` accepts per party: a factory taking the party's
-#: channel, a spec tuple ``(proto, args...)``, or (for legacy interop) an
-#: already-built ``Msg`` generator — the same forms ``Channel.parallel``
-#: accepts for sub-protocols.
+#: channel or a spec tuple ``(proto, args...)`` — the same forms
+#: ``Channel.parallel`` accepts for sub-protocols.
 PartyLike = Any
 
 _SENTINEL = object()
@@ -129,12 +120,15 @@ def _start_bare(gen: Generator) -> tuple[Any, Any]:
 
 
 def _spawn(spec: Any, sub: "Channel") -> Generator:
-    """Instantiate one ``parallel`` sub-protocol from its spec."""
+    """Instantiate one protocol from its spec on channel ``sub``."""
     if type(spec) is tuple:
         return spec[0](sub, *spec[1:])
     if callable(spec):
         return spec(sub)
-    return spec
+    raise TypeError(
+        "a protocol spec is a factory taking the channel or a "
+        f"(proto, args...) tuple, got {type(spec).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +213,10 @@ class Channel:
         """Run keyed sub-protocols in parallel, sharing rounds.
 
         Each value is a factory called with a keyed sub-channel
-        (``factory(sub) -> generator``), a spec tuple ``(proto, args...)``
-        invoked as ``proto(sub, *args)``, or — for legacy interop on
-        ``Msg``-wire transports — an already-built party generator.  The
-        iteration's round cost is the max over live sub-protocols and its
-        bit cost the sum, exactly as in the paper's parallel composition.
+        (``factory(sub) -> generator``) or a spec tuple ``(proto, args...)``
+        invoked as ``proto(sub, *args)``.  The iteration's round cost is
+        the max over live sub-protocols and its bit cost the sum, exactly
+        as in the paper's parallel composition.
         Returns ``{key: sub-protocol return value}``.
         """
         results: dict[Hashable, Any] = {}
@@ -506,13 +499,12 @@ class Transport:
         bob: PartyLike,
         transcript: Transcript | None = None,
     ) -> Tuple[Any, Any, Transcript]:
-        """Run a channel-protocol pair (or legacy generators) to completion.
+        """Run a channel-protocol pair to completion.
 
         ``alice``/``bob`` take the same spec forms as
         :meth:`Channel.parallel`: a factory called with the party's channel
-        (``factory(ch) -> generator``), a spec tuple ``(proto, args...)``
-        invoked as ``proto(ch, *args)``, or — for legacy ``Msg`` protocols
-        on ``Msg``-wire transports — an already-built generator.  Returns
+        (``factory(ch) -> generator``) or a spec tuple ``(proto, args...)``
+        invoked as ``proto(ch, *args)``.  Returns
         ``(alice_result, bob_result, transcript)``; raises
         :class:`ProtocolDesyncError` if the parties' round or phase
         schedules disagree.
@@ -712,15 +704,3 @@ def resolve_transport(transport: str | Transport | None) -> Transport:
             f"unknown transport {transport!r}; expected one of "
             f"{sorted(TRANSPORTS)}"
         ) from None
-
-
-def as_party(proto: ChannelProtocol, *args: Any, **kwargs: Any):
-    """Adapt a channel protocol into a legacy ``Msg``-yielding generator.
-
-    The returned generator speaks the lockstep wire format, so it composes
-    with :func:`repro.comm.runner.run_protocol`,
-    :func:`repro.comm.parallel.compose_parallel`, and hand-written ``Msg``
-    generators — the migration story for code still on the generator API.
-    """
-    result = yield from proto(LockstepChannel(), *args, **kwargs)
-    return result

@@ -20,11 +20,11 @@ from bisect import bisect_left
 from collections.abc import Set
 
 from ..comm.bits import uint_cost
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Stream
 from .slack import SAMPLING_CONSTANT, randomized_slack_proto
 
-__all__ = ["color_sample_party", "color_sample_proto"]
+__all__ = ["color_sample_proto"]
 
 
 def color_sample_proto(
@@ -104,13 +104,3 @@ def color_sample_proto(
         ch, num_colors, own_positions, pub, constant=constant
     )
     return perm[position] + 1
-
-
-def color_sample_party(
-    num_colors: int,
-    own_used: Set[int],
-    pub: Stream,
-    sampling_constant: int | None = None,
-):
-    """Legacy generator-API adapter for :func:`color_sample_proto`."""
-    return as_party(color_sample_proto, num_colors, own_used, pub, sampling_constant)

@@ -21,17 +21,13 @@ from __future__ import annotations
 import math
 
 from ..comm.bits import bitmap_cost
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Stream
 from ..graphs.graph import Graph
 from .color_sample import color_sample_proto
 from .probes import confirmation_bits
 
-__all__ = [
-    "paper_iteration_count",
-    "random_color_trial_party",
-    "random_color_trial_proto",
-]
+__all__ = ["paper_iteration_count", "random_color_trial_proto"]
 
 #: Per-iteration success-probability bound of Lemma 4.2 is 1/24, giving the
 #: decay base 24/23 used in the paper's iteration count.
@@ -111,21 +107,3 @@ def random_color_trial_proto(
         active = [v for v in active if v not in awake_set or v in awake_survivors]
 
     return colors, active
-
-
-def random_color_trial_party(
-    own_graph: Graph,
-    num_colors: int,
-    pub: Stream,
-    max_iterations: int | None = None,
-    active_history: list[int] | None = None,
-):
-    """Legacy generator-API adapter for :func:`random_color_trial_proto`."""
-    return as_party(
-        random_color_trial_proto,
-        own_graph,
-        num_colors,
-        pub,
-        max_iterations,
-        active_history,
-    )

@@ -13,8 +13,9 @@ outside ``X ∪ Y``:
 Both are written as *single* channel protocols usable by either party:
 each round both parties send the count of their own set inside the probed
 interval, so Alice's and Bob's programs are literally identical.  The
-element found is common knowledge by construction.  ``slack_find_party``
-and ``randomized_slack_party`` are the legacy generator-API adapters.
+element found is common knowledge by construction.  Run either one with
+``Transport.run``, e.g. ``transport.run((slack_find_proto, ground, X),
+(slack_find_proto, ground, Y))``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,10 @@ from bisect import bisect_left
 from collections.abc import Sequence, Set
 
 from ..comm.bits import uint_cost
-from ..comm.transport import Channel, as_party
+from ..comm.transport import Channel
 from ..rand import Stream
 
-__all__ = [
-    "randomized_slack_party",
-    "randomized_slack_proto",
-    "slack_find_party",
-    "slack_find_proto",
-]
+__all__ = ["randomized_slack_proto", "slack_find_proto"]
 
 #: Constant from Algorithm 3's sampling probability ``p = min(1, C·m/k̃²)``.
 SAMPLING_CONSTANT = 150
@@ -88,16 +84,6 @@ def slack_find_proto(
             lo = mid
             slack = slack - left_slack
     return ground[lo]
-
-
-def slack_find_party(
-    ground: Sequence[int],
-    own: Set[int],
-    own_count: int | None = None,
-    peer_count: int | None = None,
-):
-    """Legacy generator-API adapter for :func:`slack_find_proto`."""
-    return as_party(slack_find_proto, ground, own, own_count, peer_count)
 
 
 def guess_schedule(m: int) -> list[int]:
@@ -171,13 +157,3 @@ def randomized_slack_proto(
         "Algorithm 3 exhausted its guesses; the k-Slack-Int precondition "
         "|X|+|Y| <= m-1 must have been violated"
     )
-
-
-def randomized_slack_party(
-    m: int,
-    own: Set[int],
-    pub: Stream,
-    constant: int = SAMPLING_CONSTANT,
-):
-    """Legacy generator-API adapter for :func:`randomized_slack_proto`."""
-    return as_party(randomized_slack_proto, m, own, pub, constant)

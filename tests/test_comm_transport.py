@@ -1,9 +1,10 @@
 """Tests for the Channel/Transport API: channels, transports, strict codecs.
 
-Covers the tentpole contract: one channel protocol runs on every
-transport with identical transcripts; the lockstep shim preserves desync
-detection; the strict transport actually fires on under-declared
-messages; ``Msg.empty`` is a cached singleton.
+Covers the contract: one channel protocol runs on every transport with
+identical transcripts; every transport detects desync and rejects
+anything but a factory or spec tuple as a protocol; the strict transport
+actually fires on under-declared messages; ``Msg.empty`` is a cached
+singleton.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ from repro.comm import (
     ProtocolDesyncError,
     StrictTransport,
     Transcript,
-    as_party,
-    compose_parallel,
     resolve_transport,
-    run_protocol,
     verify_declared_cost,
 )
 from repro.comm.codecs import encode_flag_bitmap
@@ -38,14 +36,6 @@ def echo_proto(ch, value, rounds):
         reply = yield from ch.send(8, value)
         received.append(reply)
     return received
-
-
-def count_up_proto(ch, rounds):
-    """Exchange i in round i; peers must see each other's counters."""
-    seen = []
-    for i in range(rounds):
-        seen.append((yield from ch.send(4, i)))
-    return seen
 
 
 class TestMsgSingleton:
@@ -143,14 +133,6 @@ class TestDesync:
             TRANSPORTS[name].run(
                 lambda ch: echo_proto(ch, 1, 2),
                 lambda ch: echo_proto(ch, 2, 3),
-            )
-
-    def test_desync_preserved_through_channel_shim(self):
-        """Channel protocols adapted by ``as_party`` keep desync detection."""
-        with pytest.raises(ProtocolDesyncError):
-            run_protocol(
-                as_party(echo_proto, "a", 1),
-                as_party(echo_proto, "b", 4),
             )
 
     @pytest.mark.parametrize("name", ALL_TRANSPORTS)
@@ -341,9 +323,8 @@ class TestCountTransport:
     def test_segment_accounting_matches_per_round(self):
         """Bulk segment flushes equal individual record_round calls."""
         reference = Transcript()
-        with reference.phase("p"):
-            reference.record_round(3, 0)
-            reference.record_round(0, 2)
+        reference.record_round(3, 0, phases=("p",))
+        reference.record_round(0, 2, phases=("p",))
 
         def proto(ch, bits):
             with ch.phase("p"):
@@ -438,35 +419,28 @@ class TestStrictTransport:
             verify_declared_cost(4, None)
 
 
-class TestLegacyInterop:
-    def test_as_party_runs_under_run_protocol(self):
-        a, b, t = run_protocol(
-            as_party(count_up_proto, 2), as_party(count_up_proto, 2)
-        )
-        assert a == b == [0, 1]
-        assert t.rounds == 2
+class TestProtocolSpecs:
+    @pytest.mark.parametrize("entry", ["run", "parallel"])
+    @pytest.mark.parametrize("name", ALL_TRANSPORTS)
+    def test_prebuilt_generator_rejected(self, name, entry):
+        """Only factories and (proto, args...) tuples are protocols.
 
-    def test_as_party_composes_with_compose_parallel(self):
-        def party():
-            result = yield from compose_parallel(
-                {k: as_party(echo_proto, k, rounds) for k, rounds in (("x", 1), ("y", 2))}
-            )
+        A generator built outside the transport never sees its channel, so
+        it would bypass the count wire's bit tally and the strict codec
+        check; both entry points refuse it up front.
+        """
+
+        def raw(value):
+            reply = yield Msg(8, value)
+            return reply
+
+        def nested(ch):
+            result = yield from ch.parallel({"k": raw("A")})
             return result
 
-        a, _, t = run_protocol(party(), party())
-        assert a == {"x": ["x"], "y": ["y", "y"]}
-        assert t.rounds == 2
-
-    def test_legacy_generators_run_on_msg_transports(self):
-        def legacy(value, rounds):
-            received = []
-            for _ in range(rounds):
-                reply = yield Msg(8, value)
-                received.append(reply.payload)
-            return received
-
-        for name in ("lockstep", "strict"):
-            a, b, t = TRANSPORTS[name].run(legacy("A", 2), legacy("B", 2))
-            assert a == ["B", "B"]
-            assert b == ["A", "A"]
-            assert t.rounds == 2
+        transport = TRANSPORTS[name]
+        with pytest.raises(TypeError):
+            if entry == "run":
+                transport.run(raw("A"), raw("B"))
+            else:
+                transport.run(nested, nested)

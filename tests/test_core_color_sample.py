@@ -7,15 +7,15 @@ from collections import Counter
 
 import pytest
 
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import color_sample_party
+from repro.core import color_sample_proto
 
 
 def sample_once(m, used_a, used_b, seed):
-    a, b, t = run_protocol(
-        color_sample_party(m, used_a, Stream.from_seed(seed)),
-        color_sample_party(m, used_b, Stream.from_seed(seed)),
+    a, b, t = TRANSPORTS["lockstep"].run(
+        (color_sample_proto, m, used_a, Stream.from_seed(seed)),
+        (color_sample_proto, m, used_b, Stream.from_seed(seed)),
     )
     assert a == b, "the sampled color must be common knowledge"
     return a, t
@@ -48,11 +48,11 @@ class TestCorrectness:
 
     def test_rejects_empty_palette(self):
         with pytest.raises(ValueError):
-            next(color_sample_party(0, set(), Stream.from_seed(0)))
+            sample_once(0, set(), set(), 0)
 
     def test_rejects_out_of_palette_used_colors(self):
         with pytest.raises(ValueError):
-            next(color_sample_party(3, {4}, Stream.from_seed(0)))
+            sample_once(3, {4}, {4}, 0)
 
 
 class TestUniformity:

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from repro.comm import run_protocol
+from repro.comm import TRANSPORTS
 from repro.rand import Stream
-from repro.core import d1lc_party
+from repro.core import d1lc_proto
 from repro.core.d1lc import _induced_on, _pack_colors, _unpack_colors
 from repro.graphs import Graph, gnp_random_graph, is_proper_list_coloring, partition_random
 
@@ -51,11 +51,11 @@ class TestForcedFallback:
         palette = set(range(1, m + 1))
         lists = {v: set(palette) for v in g.vertices()}
         active = list(g.vertices())
-        a, b, t = run_protocol(
-            d1lc_party("alice", part.alice_graph, lists, active, m,
-                       Stream.from_seed(3), random.Random(3)),
-            d1lc_party("bob", part.bob_graph, lists, active, m,
-                       Stream.from_seed(3), random.Random(3)),
+        a, b, t = TRANSPORTS["lockstep"].run(
+            (d1lc_proto, "alice", part.alice_graph, lists, active, m,
+             Stream.from_seed(3), random.Random(3)),
+            (d1lc_proto, "bob", part.bob_graph, lists, active, m,
+             Stream.from_seed(3), random.Random(3)),
         )
         assert a == b
         assert is_proper_list_coloring(g, a, lists)
@@ -76,11 +76,11 @@ class TestForcedFallback:
         active = list(g.vertices())
 
         def run():
-            _, _, t = run_protocol(
-                d1lc_party("alice", part.alice_graph, lists, active, m,
-                           Stream.from_seed(4), random.Random(4)),
-                d1lc_party("bob", part.bob_graph, lists, active, m,
-                           Stream.from_seed(4), random.Random(4)),
+            _, _, t = TRANSPORTS["lockstep"].run(
+                (d1lc_proto, "alice", part.alice_graph, lists, active, m,
+                 Stream.from_seed(4), random.Random(4)),
+                (d1lc_proto, "bob", part.bob_graph, lists, active, m,
+                 Stream.from_seed(4), random.Random(4)),
             )
             return t.total_bits
 
@@ -93,8 +93,7 @@ class TestForcedFallback:
 class TestValidation:
     def test_rejects_unknown_role(self, rng):
         g = Graph(2, [(0, 1)])
+        eve = (d1lc_proto, "eve", g, {0: {1}, 1: {1}}, [0, 1], 2,
+               Stream.from_seed(0), rng)
         with pytest.raises(ValueError):
-            next(
-                d1lc_party("eve", g, {0: {1}, 1: {1}}, [0, 1], 2,
-                           Stream.from_seed(0), rng)
-            )
+            TRANSPORTS["lockstep"].run(eve, eve)

@@ -7,20 +7,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm import Transcript, run_protocol
+from repro.comm import TRANSPORTS, Transcript
 from repro.rand import Stream
 from repro.core.slack import (
     guess_schedule,
-    randomized_slack_party,
+    randomized_slack_proto,
     sampling_probability,
-    slack_find_party,
+    slack_find_proto,
 )
 
 
 def run_deterministic(ground, X, Y):
-    return run_protocol(
-        slack_find_party(ground, X),
-        slack_find_party(ground, Y),
+    return TRANSPORTS["lockstep"].run(
+        (slack_find_proto, ground, X),
+        (slack_find_proto, ground, Y),
     )
 
 
@@ -62,9 +62,10 @@ class TestDeterministicBinarySearch:
         assert a == b == 7
 
     def test_skips_opening_round_with_known_counts(self):
-        gen_a = slack_find_party([0, 1], {0}, own_count=1, peer_count=0)
-        gen_b = slack_find_party([0, 1], set(), own_count=0, peer_count=1)
-        a, b, t = run_protocol(gen_a, gen_b)
+        a, b, t = TRANSPORTS["lockstep"].run(
+            (slack_find_proto, [0, 1], {0}, 1, 0),
+            (slack_find_proto, [0, 1], set(), 0, 1),
+        )
         assert a == b == 1
         assert t.rounds == 1  # only the halving step
 
@@ -85,9 +86,9 @@ class TestGuessSchedule:
 
 class TestRandomizedSlack:
     def run_randomized(self, m, X, Y, seed=0):
-        return run_protocol(
-            randomized_slack_party(m, X, Stream.from_seed(seed)),
-            randomized_slack_party(m, Y, Stream.from_seed(seed)),
+        return TRANSPORTS["lockstep"].run(
+            (randomized_slack_proto, m, X, Stream.from_seed(seed)),
+            (randomized_slack_proto, m, Y, Stream.from_seed(seed)),
         )
 
     @given(st.data())
@@ -131,21 +132,18 @@ class TestRandomizedSlack:
 
     def test_rejects_empty_ground(self):
         with pytest.raises(ValueError):
-            next(randomized_slack_party(0, set(), Stream.from_seed(0)))
+            self.run_randomized(0, set(), set())
 
     def test_violated_precondition_raises(self):
         # X ∪ Y = ground with |X|+|Y| = m: Algorithm 3 must detect this.
         with pytest.raises(RuntimeError):
-            run_protocol(
-                randomized_slack_party(2, {0}, Stream.from_seed(0)),
-                randomized_slack_party(2, {1}, Stream.from_seed(0)),
-            )
+            self.run_randomized(2, {0}, {1})
 
     def test_transcript_symmetry(self):
         transcript = Transcript()
-        run_protocol(
-            randomized_slack_party(32, {1, 2}, Stream.from_seed(5)),
-            randomized_slack_party(32, {3}, Stream.from_seed(5)),
+        TRANSPORTS["lockstep"].run(
+            (randomized_slack_proto, 32, {1, 2}, Stream.from_seed(5)),
+            (randomized_slack_proto, 32, {3}, Stream.from_seed(5)),
             transcript,
         )
         # Counts flow both ways every round.

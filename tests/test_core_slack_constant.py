@@ -5,16 +5,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm import Transcript, run_protocol
+from repro.comm import TRANSPORTS, Transcript
 from repro.rand import Stream
-from repro.core import color_sample_party
-from repro.core.slack import randomized_slack_party, sampling_probability
+from repro.core import color_sample_proto
+from repro.core.slack import randomized_slack_proto, sampling_probability
 
 
 def run_with_constant(m, X, Y, constant, seed=0):
-    return run_protocol(
-        randomized_slack_party(m, X, Stream.from_seed(seed), constant=constant),
-        randomized_slack_party(m, Y, Stream.from_seed(seed), constant=constant),
+    return TRANSPORTS["lockstep"].run(
+        (randomized_slack_proto, m, X, Stream.from_seed(seed), constant),
+        (randomized_slack_proto, m, Y, Stream.from_seed(seed), constant),
     )
 
 
@@ -39,7 +39,7 @@ class TestSamplingConstantParameter:
 
     def test_rejects_nonpositive_constant(self):
         with pytest.raises(ValueError):
-            next(randomized_slack_party(4, set(), Stream.from_seed(0), constant=0))
+            run_with_constant(4, set(), set(), 0)
 
     def test_probability_formula(self):
         assert sampling_probability(100, 10, constant=1) == 1.0
@@ -47,9 +47,9 @@ class TestSamplingConstantParameter:
 
     def test_color_sample_passthrough(self):
         for seed in range(10):
-            a, b, _ = run_protocol(
-                color_sample_party(16, {1, 2}, Stream.from_seed(seed), 4),
-                color_sample_party(16, {3}, Stream.from_seed(seed), 4),
+            a, b, _ = TRANSPORTS["lockstep"].run(
+                (color_sample_proto, 16, {1, 2}, Stream.from_seed(seed), 4),
+                (color_sample_proto, 16, {3}, Stream.from_seed(seed), 4),
             )
             assert a == b and a not in {1, 2, 3}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm import Msg, ProtocolDesyncError, run_protocol
+from repro.comm import TRANSPORTS, ProtocolDesyncError
 from repro.core import (
     build_cover_message,
     decode_cover_message,
@@ -110,45 +110,45 @@ class TestCoverMessageTampering:
 
 class TestScheduleBreakage:
     def test_party_stopping_early_is_detected(self):
-        def chatty():
-            yield Msg(1, "a")
-            yield Msg(1, "b")
+        def chatty(ch):
+            yield from ch.send(1, "a")
+            yield from ch.send(1, "b")
             return "done"
 
-        def quiet():
-            yield Msg(1, "x")
+        def quiet(ch):
+            yield from ch.send(1, "x")
             return "done"
 
         with pytest.raises(ProtocolDesyncError):
-            run_protocol(chatty(), quiet())
+            TRANSPORTS["lockstep"].run(chatty, quiet)
 
     def test_exception_in_party_propagates(self):
-        def fine():
-            yield Msg(1, None)
+        def fine(ch):
+            yield from ch.send(1, None)
             return 0
 
-        def broken():
-            yield Msg(1, None)
+        def broken(ch):
+            yield from ch.send(1, None)
             raise RuntimeError("injected fault")
 
         with pytest.raises(RuntimeError, match="injected fault"):
-            run_protocol(fine(), broken())
+            TRANSPORTS["lockstep"].run(fine, broken)
 
     def test_mismatched_public_seeds_detected_by_driver(self, rng):
         """The Theorem 1 driver cross-checks the parties' outputs; feeding
         parties different public tapes must be caught, not silently
         accepted."""
         from repro.rand import Stream
-        from repro.core import random_color_trial_party
+        from repro.core import random_color_trial_proto
 
         g = random_regular_graph(30, 4, rng)
         part = partition_random(g, rng)
         with pytest.raises(Exception):
             # Different seeds → different awake sets → either a desync,
             # a protocol error, or (caught downstream) disagreeing colors.
-            (a_colors, a_active), (b_colors, b_active), _ = run_protocol(
-                random_color_trial_party(part.alice_graph, 5, Stream.from_seed(1)),
-                random_color_trial_party(part.bob_graph, 5, Stream.from_seed(2)),
+            (a_colors, a_active), (b_colors, b_active), _ = TRANSPORTS["lockstep"].run(
+                (random_color_trial_proto, part.alice_graph, 5, Stream.from_seed(1)),
+                (random_color_trial_proto, part.bob_graph, 5, Stream.from_seed(2)),
             )
             if a_colors != b_colors or a_active != b_active:
                 raise AssertionError("parties disagree")
