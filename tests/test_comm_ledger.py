@@ -58,3 +58,19 @@ class TestTranscript:
         t = Transcript()
         with pytest.raises(ValueError):
             t.record_round(-1, 0)
+
+    def test_silent_direction_is_not_a_message(self):
+        t = Transcript()
+        t.record_round(5, 0)
+        t.record_round(0, 0)
+        assert t.rounds == 2
+        assert t.messages == 1
+        assert t.round_log == [(5, 0), (0, 0)]
+
+    def test_negative_segment_totals_rejected(self):
+        t = Transcript()
+        for bad in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, -1, 0), (0, 0, 1, -1)):
+            with pytest.raises(ValueError):
+                t.record_segment(*bad)
+        assert t.summary() == Transcript().summary()
+

@@ -147,6 +147,18 @@ class TestDesync:
             )
 
 
+    @pytest.mark.parametrize("name", ALL_TRANSPORTS)
+    def test_mismatch_inside_parallel_raises(self, name):
+        """A sub-protocol round mismatch surfaces as a desync of the run."""
+
+        def party(ch, rounds):
+            result = yield from ch.parallel({"k": (echo_proto, 1, rounds)})
+            return result
+
+        with pytest.raises(ProtocolDesyncError):
+            TRANSPORTS[name].run((party, 1), (party, 2))
+
+
 class TestChannelPhases:
     @pytest.mark.parametrize("name", ALL_TRANSPORTS)
     def test_phase_attribution(self, name):
@@ -444,3 +456,30 @@ class TestProtocolSpecs:
                 transport.run(raw("A"), raw("B"))
             else:
                 transport.run(nested, nested)
+
+    @pytest.mark.parametrize("name", ALL_TRANSPORTS)
+    def test_spec_tuples_run(self, name):
+        """``(proto, args...)`` runs as ``proto(ch, *args)`` in both entry points."""
+
+        def party(ch, value):
+            mine = yield from echo_proto(ch, value, 1)
+            nested = yield from ch.parallel({"x": (echo_proto, value, 2)})
+            return mine, nested
+
+        a, b, t = TRANSPORTS[name].run((party, 7), (party, 9))
+        assert a == ([9], {"x": [9, 9]})
+        assert b == ([7], {"x": [7, 7]})
+        assert t.rounds == 3
+        assert t.total_bits == 2 * 8 * 3
+
+    @pytest.mark.parametrize("entry", ["run", "parallel"])
+    def test_non_callable_spec_rejected(self, entry):
+        def nested(ch):
+            result = yield from ch.parallel({"k": 42})
+            return result
+
+        with pytest.raises(TypeError, match="protocol spec"):
+            if entry == "run":
+                TRANSPORTS["lockstep"].run(42, 42)
+            else:
+                TRANSPORTS["lockstep"].run(nested, nested)
