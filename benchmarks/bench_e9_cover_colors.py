@@ -27,7 +27,8 @@ def build_instance(n: int, rng: random.Random):
         v: set(rng.sample(palette, rng.randint(need, len(palette))))
         for v in vertices
     }
-    return vertices, available, palette
+    used = {v: set(palette) - available[v] for v in vertices}
+    return vertices, available, used, palette
 
 
 def test_e9_cover_message_scaling(benchmark):
@@ -35,8 +36,8 @@ def test_e9_cover_message_scaling(benchmark):
     rows = []
     ns, bits = [], []
     for n in SIZES:
-        vertices, available, palette = build_instance(n, rng)
-        msg = build_cover_message(vertices, available, palette)
+        vertices, available, used, palette = build_instance(n, rng)
+        msg = build_cover_message(vertices, used, palette)
         assignment = decode_cover_message(vertices, msg)
         assert all(assignment[v] in available[v] for v in vertices)
         rows.append(
@@ -58,5 +59,5 @@ def test_e9_cover_message_scaling(benchmark):
     # O(log n) cover colors.
     assert all(r[3] <= r[4] + 4 for r in rows)
 
-    vertices, available, palette = build_instance(800, rng)
-    benchmark(lambda: build_cover_message(vertices, available, palette))
+    vertices, _, used, palette = build_instance(800, rng)
+    benchmark(lambda: build_cover_message(vertices, used, palette))

@@ -9,15 +9,20 @@ Bob's construction: since each low-degree vertex has ``≥ (Δ−1)/3`` of his
 available for ``≥ 1/3`` of any set of low-degree vertices.  Bob greedily
 picks such colors; the ``i``-th pick comes with a bitmap over the still
 uncovered vertices, so total bitmap length is a geometric series ``≤ 3n``.
+
+The builder takes the sparse side of availability: the colors *used* at
+each vertex (at most ``deg(v) ≤ Δ/2`` of them).  It marks those in one
+packed bit row per palette color and complements each row into that
+color's cover mask, so building the masks costs ``O(m + Δ·n/8)``; each
+greedy round is then ``Δ`` word-parallel AND + popcounts over ``n`` bits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 
 from ..comm.bits import gamma_cost, uint_cost
-from ..graphs.bitset import iter_bits
 
 __all__ = ["CoverMessage", "build_cover_message", "decode_cover_message"]
 
@@ -38,42 +43,46 @@ class CoverMessage:
 
 def build_cover_message(
     low_vertices: Sequence[int],
-    available: Mapping[int, set[int]],
+    used: Mapping[int, Set[int]] | Sequence[Set[int]],
     palette: Sequence[int],
 ) -> CoverMessage:
     """Greedy third-covering of the low-degree vertices' available colors.
 
-    ``available[v]`` must be non-empty for every low vertex (guaranteed by
-    the degree bound, Lemma 5.4).  Raises ``ValueError`` if some vertex has
-    no available color — a protocol-logic bug upstream.
+    ``used[v]`` holds the colors already on ``v``'s own edges; ``v`` may
+    take any color of ``palette − used[v]``.  Each round picks the color
+    available at the most uncovered vertices (first in palette order on
+    ties).  Raises ``ValueError`` if some vertex has every palette color
+    used (ruled out by the degree bound, Lemma 5.4) — a bug upstream.
     """
     base = sorted(low_vertices)
+    palette_set = set(palette)
     for v in base:
-        if not available[v]:
+        if palette_set <= used[v]:
             raise ValueError(f"vertex {v} has no available palette color")
-    # One bitmask per palette color over positions of ``base``: the greedy
-    # loop below then runs on word-parallel AND + popcount instead of
-    # per-vertex membership tests.
-    covers: dict[int, int] = {color: 0 for color in palette}
+    # One packed row per palette color flagging the positions of ``base``
+    # where it is used; its complement is the color's cover mask.
+    rows = {color: bytearray((len(base) + 7) // 8) for color in palette}
     for pos, v in enumerate(base):
-        bit = 1 << pos
-        for color in available[v]:
-            if color in covers:
-                covers[color] |= bit
+        byte, bit = pos >> 3, 1 << (pos & 7)
+        for color in used[v]:
+            if color in rows:
+                rows[color][byte] |= bit
+    alive = (1 << len(base)) - 1
+    covers = {c: alive & ~int.from_bytes(row, "little") for c, row in rows.items()}
+    alive_positions = list(range(len(base)))
     colors: list[int] = []
     bitmaps: list[tuple[bool, ...]] = []
     nbits = 0
-    alive = (1 << len(base)) - 1
     while alive:
         best_color, best_count = None, -1
         for color in palette:
             count = (covers[color] & alive).bit_count()
             if count > best_count:
                 best_color, best_count = color, count
-        if best_color is None or best_count == 0:
-            raise ValueError("no palette color covers any uncovered vertex")
         hits = covers[best_color]
-        flags = tuple(bool((hits >> pos) & 1) for pos in iter_bits(alive))
+        bits = f"{hits:0{len(base)}b}"[::-1]  # bits[pos] flags position pos
+        flags = tuple(bits[pos] == "1" for pos in alive_positions)
+        alive_positions = [p for p, hit in zip(alive_positions, flags) if not hit]
         colors.append(best_color)
         bitmaps.append(flags)
         nbits += uint_cost(max(palette)) + len(flags)

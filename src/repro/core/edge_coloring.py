@@ -240,10 +240,7 @@ def bounded_degree_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
 
     if role == "alice":
         colors = greedy_edge_coloring(own_graph, num_colors=num_colors)
-        used: dict[int, set[int]] = {v: set() for v in own_graph.vertices()}
-        for (u, v), c in colors.items():
-            used[u].add(c)
-            used[v].add(c)
+        used = _used_colors(colors, own_graph.n)
         masks = tuple(
             tuple(c in used[v] for c in range(1, num_colors + 1))
             for v in own_graph.vertices()
@@ -291,10 +288,7 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
         covered[v] = True
     over_half = [2 * own_graph.degree(v) > delta for v in range(n)]
     low_vertices = [v for v in range(n) if not over_half[v]]
-    available = {
-        v: set(own) - _used_colors_at(colors, own_graph, v) for v in low_vertices
-    }
-    cover_msg = build_cover_message(low_vertices, available, own)
+    cover_msg = build_cover_message(low_vertices, _used_colors(colors, n), own)
 
     # --- round 1: bitmaps + cover message --------------------------------
     max_own_color = max(own)
@@ -324,7 +318,7 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
 
     # --- round 2: first-seven availability of the own palette ------------
     first_seven = own[:7]
-    used_at = [_used_colors_at(colors, own_graph, v) for v in range(n)]
+    used_at = _used_colors(colors, n)
     own_masks = tuple(
         tuple(c not in used_at[v] for c in first_seven) for v in range(n)
     )
@@ -335,8 +329,9 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
 
     # --- Lemma 5.5: greedy-color the deferred subgraph -------------------
     peer_colors_used_by_me: dict[int, set[int]] = {}
+    peer_set = set(peer)
     for (u, v), c in colors.items():
-        if c in set(peer):
+        if c in peer_set:
             peer_colors_used_by_me.setdefault(u, set()).add(c)
             peer_colors_used_by_me.setdefault(v, set()).add(c)
     for u, v in deferred:
@@ -359,18 +354,12 @@ def edge_coloring_proto(ch: Channel, role: str, own_graph: Graph, delta: int):
     return colors
 
 
-def _used_colors_at(colors: dict[Edge, int], graph: Graph, v: int) -> set[int]:
-    """The colors of the colored edges of ``graph`` incident to ``v``.
-
-    One neighborhood scan answers every per-color availability query at
-    ``v`` — the per-(vertex, color) probing this replaces rescanned the
-    neighborhood ``Θ(Δ)`` times per vertex.
-    """
-    used = set()
-    for u in graph.iter_neighbors(v):
-        color = colors.get(canonical_edge(u, v))
-        if color is not None:
-            used.add(color)
+def _used_colors(colors: dict[Edge, int], n: int) -> list[set[int]]:
+    """The colors on each vertex's colored edges, in one pass over ``colors``."""
+    used: list[set[int]] = [set() for _ in range(n)]
+    for (u, v), c in colors.items():
+        used[u].add(c)
+        used[v].add(c)
     return used
 
 

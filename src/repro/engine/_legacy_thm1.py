@@ -22,7 +22,6 @@ measured way while producing bit-for-bit the same transcript.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from contextlib import contextmanager
 from typing import Any, Callable, Generator, Hashable, Iterator, Mapping, Tuple
@@ -51,7 +50,6 @@ from ..core.vertex_coloring import (
 )
 from ..coloring.greedy import greedy_d1lc_coloring
 from ..coloring.list_coloring import solve_list_coloring
-from ..graphs.graph import Graph
 from ..graphs.partition import EdgePartition
 from ..rand import Stream
 

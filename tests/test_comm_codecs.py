@@ -85,7 +85,8 @@ class TestCoverMessageCodec:
                 v: set(rng.sample(palette, rng.randint(4, len(palette))))
                 for v in vertices
             }
-            msg = build_cover_message(vertices, available, palette)
+            used = {v: set(palette) - available[v] for v in vertices}
+            msg = build_cover_message(vertices, used, palette)
             bits = encode_cover_payload(msg.colors, msg.bitmaps, max(palette))
             assert len(bits) == msg.nbits
             colors, bitmaps = decode_cover_payload(
