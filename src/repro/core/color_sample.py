@@ -56,7 +56,9 @@ def color_sample_proto(
     # the |own_used| inverse lookups and one final forward lookup are
     # requested; above repro.rand's small-m threshold those are O(1)
     # Feistel queries, below it the first access materializes a table
-    # (cheaper than cycle-walking at small palette sizes).
+    # (cheaper than cycle-walking at small palette sizes).  The key is a
+    # public coin, so that table is built once per key per process and
+    # shared by both parties' calls until neither holds it.
     perm = pub.permutation(num_colors)
     own_positions = set(perm.index_of_batch([c - 1 for c in own_used]))
 

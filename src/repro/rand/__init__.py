@@ -9,7 +9,8 @@ The randomness substrate under every protocol in the library:
   sharded sweeps stay reproducible).
 * Lazy permutations (:func:`make_permutation`) — ``perm[i]`` and
   ``perm.index_of(x)`` on demand via a Feistel network with cycle
-  walking; no O(m) shuffle when only a few positions are read.
+  walking; no O(m) shuffle when only a few positions are read.  Small
+  palettes get one materialized table per key, shared by every holder.
 * Geometric-skip sparse sampling (:meth:`Stream.sample_indices`) and
   batch draw primitives (:meth:`Stream.coins`, :meth:`Stream.ints`).
 * :class:`LegacyTape` — the old ``random.Random`` tape behind the new

@@ -310,8 +310,9 @@ class Stream:
 
         Consumes one counter word to key the permutation; positions are
         computed on demand (Feistel cycle-walking for large ``m``,
-        materialize-on-first-access below the small-``m`` threshold), so
-        reading a few positions never costs an O(m) shuffle.
+        materialize-on-first-access below the small-``m`` threshold,
+        shared with every stream that draws the same key), so reading a
+        few positions never costs an O(m) shuffle.
         """
         return make_permutation(self.next64(), m)
 

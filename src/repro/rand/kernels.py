@@ -16,7 +16,10 @@ because tiny batches are dominated by array-construction overhead.
 Bit-for-bit subtleties the implementations guard:
 
 * uint64 wraparound is the *desired* semantics (SplitMix64 is mod-2^64
-  arithmetic); ``np.errstate(over="ignore")`` silences the warnings.
+  arithmetic).  Array arithmetic wraps without a warning (only
+  scalar-by-scalar ops warn), so the SplitMix pass runs without an
+  ``np.errstate``; the remaining ``errstate(over="ignore")`` blocks are
+  defensive.
 * The Lemire ``ints`` map needs the high 64 bits of a 64×64 product;
   numpy has no 128-bit integers, so :func:`_mulhi` decomposes into 32-bit
   halves (every intermediate provably fits uint64).
@@ -39,6 +42,7 @@ __all__ = [
     "MIN_BATCH",
     "available",
     "disabled",
+    "fisher_yates_indices",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -73,6 +77,15 @@ def _load_numpy():
 
 _np = _load_numpy()
 
+#: The SplitMix64 avalanche operands as uint64 scalars, built once.
+_MIX = (
+    None
+    if _np is None
+    else tuple(
+        _np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)
+    )
+)
+
 
 def available() -> bool:
     """Whether the numpy backend is importable and not disabled."""
@@ -101,12 +114,12 @@ class disabled:
 
 def _mix_inplace(np, x):
     """The SplitMix64 avalanche over a uint64 array, in place."""
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
+    s30, m1, s27, m2, s31 = _MIX
+    x ^= x >> s30
+    x *= m1
+    x ^= x >> s27
+    x *= m2
+    x ^= x >> s31
     return x
 
 
@@ -240,6 +253,44 @@ def dense_mask(m: int, indices) -> list[bool]:
     if len(indices):
         mask[np.asarray(indices, dtype=np.int64)] = True
     return mask.tolist()
+
+
+# ---------------------------------------------------------------------------
+# small-m Fisher–Yates swap targets (mirror SmallPermutation._build)
+# ---------------------------------------------------------------------------
+
+#: ``(i·GOLDEN, i+1)`` for ``i = M−1 … 1`` as uint64 arrays; an ``m ≤ M``
+#: table takes the last ``m − 1`` entries.  Grown on demand.
+_fy_steps = None
+_fy_bounds = None
+
+
+def fisher_yates_indices(key: int, m: int) -> list[int]:
+    """The swap targets ``j_i = mulhi(mix64(key + i·GOLDEN), i+1)`` for
+    ``i = m−1 … 1`` — one SplitMix64 pass over all ``m − 1`` words.
+
+    Every bound ``i + 1`` is below ``2^32``, so the high word of
+    ``x · (i+1)`` needs only two 32-bit products:
+    ``(x_hi·b + ((x_lo·b) >> 32)) >> 32``, and neither sum overflows.
+    """
+    global _fy_steps, _fy_bounds
+    np = _np
+    if _fy_steps is None or len(_fy_steps) < m - 1:
+        i = np.arange(m - 1, 0, -1, dtype=np.uint64)
+        _fy_steps = i * np.uint64(_GOLDEN)
+        _fy_bounds = i + np.uint64(1)
+    start = len(_fy_steps) - (m - 1)
+    bounds = _fy_bounds[start:]
+    x = _mix_inplace(np, _fy_steps[start:] + np.uint64(key))
+    c32 = np.uint64(32)
+    hi = x >> c32
+    hi *= bounds
+    x &= np.uint64(0xFFFFFFFF)
+    x *= bounds
+    x >>= c32
+    hi += x
+    hi >>= c32
+    return hi.tolist()
 
 
 # ---------------------------------------------------------------------------

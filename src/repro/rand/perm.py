@@ -11,15 +11,25 @@ two or not).
 
 For small ``m`` the constant factors favor just materializing: a
 Fisher–Yates table costs about the same as a handful of Feistel queries,
-so :func:`make_permutation` returns a :class:`SmallPermutation` below
-``SMALL_THRESHOLD`` — built lazily on first access, with the inverse
-table built only if ``index_of`` is ever called.  Both back-ends are pure
+so :func:`make_permutation` returns a :class:`SmallPermutation` up to
+``SMALL_THRESHOLD`` — built lazily on first access, with ``index_of`` a
+byte search of the table.  Both back-ends are pure
 functions of ``(key, m)``, so either side of a protocol computes the same
 permutation without communication.
+
+That purity is what lets the simulator build each small table once per
+key per process.  A permutation drawn from the shared public stream is
+the public coin of the model (Section 3.1): both parties read the same
+key and would derive the same table, so :func:`make_permutation` hands
+every caller holding that key the *same* :class:`SmallPermutation`
+object through a weak map, and the table is freed when no party holds it
+any more.  Sharing changes only how often a table is computed, never its
+values or the bits either party sends.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 
 from . import kernels as _kernels
@@ -176,21 +186,25 @@ class FeistelPermutation(Permutation):
 class SmallPermutation(Permutation):
     """Materialize-on-first-access Fisher–Yates table for small ``m``.
 
-    Construction draws nothing; the forward table is built on the first
-    query from the key's own SplitMix64 sequence, and the inverse table
-    only if ``index_of`` is ever needed.
+    Construction draws nothing; the table is built on the first query
+    from the key's own SplitMix64 sequence and stored as immutable
+    ``bytes`` (``m ≤ SMALL_THRESHOLD < 256``).  ``index_of`` is a C-level
+    byte search of that table, so no inverse table is kept.
+    :func:`make_permutation` shares one instance per key between every
+    holder, so each table is built once per key per process and freed
+    with the last holder; ``materialize`` hands out a fresh list.
     """
 
-    __slots__ = ("key", "_forward", "_inverse")
+    __slots__ = ("key", "_forward", "__weakref__")
 
     def __init__(self, key: int, m: int) -> None:
         super().__init__(m)
         self.key = key & _MASK64
-        self._forward: list[int] | None = None
-        self._inverse: list[int] | None = None
+        self._forward: bytes | None = None
 
-    def _build(self) -> list[int]:
+    def _build(self) -> bytes:
         m = self.m
+        # Swap in a list (faster indexing), store compactly.
         forward = list(range(m))
         if m <= _LEHMER_MAX:
             # One PRF word -> Lehmer code -> Fisher-Yates swap sequence.
@@ -201,6 +215,11 @@ class SmallPermutation(Permutation):
             for i in range(m - 1, 0, -1):
                 r, j = divmod(r, i + 1)
                 forward[i], forward[j] = forward[j], forward[i]
+        elif _kernels._np is not None:
+            for i, j in zip(
+                range(m - 1, 0, -1), _kernels.fisher_yates_indices(self.key, m)
+            ):
+                forward[i], forward[j] = forward[j], forward[i]
         else:
             key = self.key
             for i in range(m - 1, 0, -1):
@@ -209,8 +228,8 @@ class SmallPermutation(Permutation):
                 x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
                 j = ((x ^ (x >> 31)) * (i + 1)) >> 64
                 forward[i], forward[j] = forward[j], forward[i]
-        self._forward = forward
-        return forward
+        table = self._forward = bytes(forward)
+        return table
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.m:
@@ -221,30 +240,35 @@ class SmallPermutation(Permutation):
     def index_of(self, x: int) -> int:
         if not 0 <= x < self.m:
             raise IndexError(f"index {x} out of range for permutation of {self.m}")
-        inverse = self._inverse
-        if inverse is None:
-            forward = self._forward
-            if forward is None:
-                forward = self._build()
-            inverse = [0] * self.m
-            for i, y in enumerate(forward):
-                inverse[y] = i
-            self._inverse = inverse
-        return inverse[x]
+        forward = self._forward
+        return (forward if forward is not None else self._build()).index(x)
 
     def materialize(self) -> list[int]:
         forward = self._forward
         return list(forward if forward is not None else self._build())
 
 
+#: The live small permutations by key.  Every party holding a key gets the
+#: one instance; an entry dies with its last holder.
+_shared: weakref.WeakValueDictionary[int, SmallPermutation] = (
+    weakref.WeakValueDictionary()
+)
+
+
 def make_permutation(key: int, m: int) -> Permutation:
     """The permutation of ``range(m)`` keyed by ``key``.
 
-    Picks the back-end by size: a materialized table below
+    Picks the back-end by size: a materialized table up to
     :data:`SMALL_THRESHOLD`, the lazy Feistel network above it.  The
     *values* differ between back-ends, but the choice is a deterministic
-    function of ``m``, so both protocol parties always agree.
+    function of ``m``, so both protocol parties always agree.  A small
+    permutation is shared: while anyone holds the one for ``key``, every
+    later call with that key and ``m`` returns the same object.
     """
     if m <= SMALL_THRESHOLD:
-        return SmallPermutation(key, m)
+        key &= _MASK64
+        perm = _shared.get(key)
+        if perm is None or perm.m != m:
+            perm = _shared[key] = SmallPermutation(key, m)
+        return perm
     return FeistelPermutation(key, m)

@@ -19,7 +19,7 @@ import pytest
 from repro.core.vertex_coloring import run_vertex_coloring
 from repro.engine import build_partition
 from repro.engine.scenarios import Scenario
-from repro.rand import Stream, kernels
+from repro.rand import SMALL_THRESHOLD, SmallPermutation, Stream, kernels
 
 requires_numpy = pytest.mark.skipif(
     not kernels.available(), reason="numpy unavailable (or REPRO_NO_NUMPY set)"
@@ -33,6 +33,14 @@ def _hd(payload: str) -> str:
 # ---------------------------------------------------------------------------
 # pinned golden digests (valid for BOTH backends — that is the point)
 # ---------------------------------------------------------------------------
+
+
+def _small_perm_tables(stream: Stream) -> str:
+    return ";".join(
+        ",".join(map(str, stream.derive(k).permutation(m).materialize()))
+        for m in (13, 65, 96)
+        for k in range(200)
+    )
 
 
 GOLDENS = [
@@ -77,6 +85,14 @@ GOLDENS = [
             map(str, Stream.from_seed(7, "kern-perm").permutation(4097).materialize())
         ),
         "eaef06d5265aad671ac3c56e68a2f9cf44f8150fef71b43354df34f72e3c037f",
+    ),
+    (
+        # Each permutation dies right after its materialize(), so the
+        # shared small-m table never leaks across the kernels.disabled()
+        # boundary and each arm builds its own tables.
+        "small perms m=13,65,96 x 200 keys",
+        lambda: _small_perm_tables(Stream.from_seed(7, "kern-small-perm")),
+        "90c60a50f35a12d029553b02ce9d028c566e05fd9da9bc0bc33af138a6623fd3",
     ),
 ]
 
@@ -131,6 +147,23 @@ def _sample_cases():
     return cases
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(x: int) -> int:
+    """SplitMix64's avalanche in exact Python integers (the reference)."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _fisher_yates_keys():
+    rng = random.Random(0xF15)
+    return [0, _MASK64] + [rng.getrandbits(64) for _ in range(12)]
+
+
 @requires_numpy
 class TestCrossBackendEquivalence:
     """Kernels must match the pure path in values AND counter consumption."""
@@ -181,6 +214,22 @@ class TestCrossBackendEquivalence:
         assert perm.index_of_batch([want_tab[x] for x in xs]) == xs
         assert list(perm.materialize()) == want_tab
         assert sorted(want_tab) == list(range(m))
+
+    @pytest.mark.parametrize("key", _fisher_yates_keys())
+    def test_fisher_yates_indices(self, key):
+        # Sizes in shuffled order so the cached step arrays are both
+        # reused and regrown between calls.
+        sizes = [1, 2, 3, 13, 14, 40, 65, SMALL_THRESHOLD]
+        random.Random(key).shuffle(sizes)
+        for m in sizes:
+            want = [
+                (_mix64(key + i * _GOLDEN) * (i + 1)) >> 64 for i in range(m - 1, 0, -1)
+            ]
+            assert kernels.fisher_yates_indices(key, m) == want
+            # Fresh (unshared) objects: the table each arm builds is its own.
+            with kernels.disabled():
+                pure = SmallPermutation(key, m).materialize()
+            assert SmallPermutation(key, m).materialize() == pure
 
 
 # ---------------------------------------------------------------------------

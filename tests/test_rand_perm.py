@@ -8,6 +8,7 @@ the sampled position back through ``perm[i]``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from collections import Counter
 
@@ -20,6 +21,7 @@ from repro.rand import (
     Stream,
     make_permutation,
 )
+from repro.rand import perm as perm_module
 
 NON_POWERS_OF_TWO = [1, 2, 3, 5, 6, 7, 9, 11, 12, 13, 37, 97, 100, 129, 1000, 4097]
 
@@ -77,7 +79,7 @@ class TestSmallPermutation:
         perm = SmallPermutation(1, 20)
         assert perm._forward is None  # construction draws nothing
         perm[0]
-        assert perm._forward is not None
+        assert isinstance(perm._forward, bytes)  # m <= 96 < 256
 
     def test_lehmer_path_is_uniformish(self):
         # m=5 uses the one-word Lehmer decode; every first element should
@@ -94,6 +96,55 @@ class TestMakePermutation:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             make_permutation(3, -1)
+
+
+class TestSharedSmallPermutation:
+    """One small table per key, shared while anyone holds it."""
+
+    def test_equal_keys_share_one_object(self):
+        for m in (0, 5, 13, 65, SMALL_THRESHOLD):
+            a, b = Stream.from_seed(7, "share"), Stream.from_seed(7, "share")
+            assert a.permutation(m) is b.permutation(m)
+
+    def test_entry_dies_with_its_last_holder(self):
+        perm = make_permutation(0xABCDEF, 65)
+        other = make_permutation(0xABCDEF, 65)
+        assert perm_module._shared.get(0xABCDEF) is perm
+        del perm
+        gc.collect()
+        assert perm_module._shared.get(0xABCDEF) is other
+        del other
+        gc.collect()
+        assert 0xABCDEF not in perm_module._shared
+
+    def test_same_key_other_size_is_its_own_permutation(self):
+        key = 0x5151
+        big = make_permutation(key, 65)
+        small = make_permutation(key, 40)
+        assert small is not big
+        assert small.m == 40 and big.m == 65
+        assert small.materialize() == SmallPermutation(key, 40).materialize()
+        assert big.materialize() == SmallPermutation(key, 65).materialize()
+        assert sorted(small.materialize()) == list(range(40))
+        for x in range(40):
+            assert small[small.index_of(x)] == x
+
+    def test_large_sizes_stay_unshared(self):
+        a = make_permutation(9, SMALL_THRESHOLD + 1)
+        b = make_permutation(9, SMALL_THRESHOLD + 1)
+        assert isinstance(a, FeistelPermutation)
+        assert a is not b
+        assert a.materialize() == b.materialize()
+
+    def test_materialize_hands_out_a_copy(self):
+        perm = make_permutation(0x77, 65)
+        want = perm.materialize()
+        got = perm.materialize()
+        got.reverse()
+        got[0] = -1
+        assert perm.materialize() == want
+        assert make_permutation(0x77, 65).materialize() == want
+        assert [perm[i] for i in range(65)] == want
 
 
 class TestStreamPermutation:
