@@ -58,7 +58,9 @@ def color_sample_proto(
     # Feistel queries, below it the first access materializes a table
     # (cheaper than cycle-walking at small palette sizes).  The key is a
     # public coin, so that table is built once per key per process and
-    # shared by both parties' calls until neither holds it.
+    # shared by both parties' calls until neither holds it; under
+    # Random-Color-Trial it is usually already built, by the iteration's
+    # batch prefetch of this stream's next permutation.
     perm = pub.permutation(num_colors)
     own_positions = set(perm.index_of_batch([c - 1 for c in own_used]))
 

@@ -11,6 +11,13 @@ Guarantees (Lemma 4.1): expected ``O(n/log⁴ n)`` vertices stay uncolored
 after ``⌈1 + 4·log_{24/23} log n⌉`` iterations, expected ``O(n)`` bits, and
 ``O(log log n · log Δ)`` worst-case rounds.
 
+Each iteration prebuilds its awake vertices' palette permutations in one
+batch (:func:`~repro.rand.prefetch_permutations`) and holds them until its
+Color-Sample instances return.  The batch computes the key of each
+instance stream's next permutation without drawing it, and the tables are
+byte-identical to those built one at a time, so every sampled color, bit
+and round is unchanged; only how the tables are computed differs.
+
 The trial colors and confirmations are common knowledge, so both parties
 always agree on the active set; in particular they can stop early once it
 is empty (a free optimization the paper's fixed iteration count dominates).
@@ -22,7 +29,7 @@ import math
 
 from ..comm.bits import bitmap_cost
 from ..comm.transport import Channel
-from ..rand import Stream
+from ..rand import Stream, prefetch_permutations
 from ..graphs.graph import Graph
 from .color_sample import color_sample_proto
 from .probes import confirmation_bits
@@ -80,16 +87,19 @@ def random_color_trial_proto(
         # Spec tuples, not one closure per vertex: ch.parallel invokes
         # (proto, args...) as proto(sub, *args) directly.
         iter_base = pub.derive("rct", iteration)
+        subs = [iter_base.derive(v) for v in awake]
+        held = prefetch_permutations(subs, num_colors)
         samplers = {
             v: (
                 color_sample_proto,
                 num_colors,
                 own_graph.neighbor_colors(v, colors),
-                iter_base.derive(v),
+                sub,
             )
-            for v in awake
+            for v, sub in zip(awake, subs)
         }
         chosen: dict[int, int] = yield from ch.parallel(samplers)
+        del held
 
         # One confirmation bit per awake vertex: "no conflict on my side" —
         # a color-class mask sweep over the whole awake neighborhood.

@@ -10,7 +10,9 @@ The randomness substrate under every protocol in the library:
 * Lazy permutations (:func:`make_permutation`) — ``perm[i]`` and
   ``perm.index_of(x)`` on demand via a Feistel network with cycle
   walking; no O(m) shuffle when only a few positions are read.  Small
-  palettes get one materialized table per key, shared by every holder.
+  palettes get one materialized table per key, shared by every holder;
+  :func:`prefetch_permutations` builds the tables a batch of streams will
+  draw next in one numpy pass, without drawing them.
 * Geometric-skip sparse sampling (:meth:`Stream.sample_indices`) and
   batch draw primitives (:meth:`Stream.coins`, :meth:`Stream.ints`).
 * :class:`LegacyTape` — the old ``random.Random`` tape behind the new
@@ -28,6 +30,7 @@ from .core import (
     as_random,
     derived_random,
     mix64,
+    prefetch_permutations,
     stable_label_hash,
 )
 from .legacy import LegacyTape
@@ -55,5 +58,6 @@ __all__ = [
     "kernels",
     "make_permutation",
     "mix64",
+    "prefetch_permutations",
     "stable_label_hash",
 ]

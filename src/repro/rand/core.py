@@ -32,7 +32,13 @@ from collections.abc import Sequence
 from typing import TypeVar, Union
 
 from . import kernels as _kernels
-from .perm import Permutation, make_permutation
+from .perm import (
+    _LEHMER_MAX,
+    SMALL_THRESHOLD,
+    Permutation,
+    make_permutation,
+    prebuild_permutations,
+)
 from .sampling import geometric_indices
 
 __all__ = [
@@ -42,6 +48,7 @@ __all__ = [
     "as_random",
     "derived_random",
     "mix64",
+    "prefetch_permutations",
     "stable_label_hash",
 ]
 
@@ -361,6 +368,29 @@ class Stream:
         for i in indices:
             mask[i] = True
         return mask
+
+
+def prefetch_permutations(streams: Sequence[Stream], m: int) -> list[Permutation]:
+    """What each stream's next ``permutation(m)`` returns, without drawing it.
+
+    The next word of a stream is ``mix64(key + (counter+1)·GOLDEN)``, so
+    the key of its next permutation is known without advancing its
+    counter.  When the tables are small Fisher–Yates ones
+    (``12 < m ≤ SMALL_THRESHOLD``) and the numpy kernels are active, every
+    table not yet live is built in one vectorized pass; while the caller
+    holds the returned list, each stream's own ``permutation(m)`` call
+    finds its table already built and shared.  Returns ``[]`` — nothing
+    prebuilt — otherwise, or when any stream is not a :class:`Stream`.
+    """
+    if (
+        _kernels._np is None
+        or not _LEHMER_MAX < m <= SMALL_THRESHOLD
+        or any(type(s) is not Stream for s in streams)
+    ):
+        return []
+    return prebuild_permutations(
+        [mix64(s.key + (s.counter + 1) * GOLDEN) for s in streams], m
+    )
 
 
 #: Anything the graph generators / partitioners accept as a randomness

@@ -39,10 +39,12 @@ import os
 __all__ = [
     "FAIR_MIN_BATCH",
     "FEISTEL_MIN_BATCH",
+    "FISHER_YATES_BLOCK",
     "MIN_BATCH",
     "available",
     "disabled",
     "fisher_yates_indices",
+    "fisher_yates_tables",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -58,6 +60,11 @@ MIN_BATCH = 128
 #: Fair coins are already packed 64 to a word in pure Python, so the
 #: kernel only wins once the word batch itself is large.
 FAIR_MIN_BATCH = 2048
+
+#: Keys per Fisher–Yates table block: bounds the transient uint64 index
+#: arrays (three of ``b·(m−1)`` words) to a few MB, so a batch of 50k
+#: palette tables does not raise the peak RSS of the run building them.
+FISHER_YATES_BLOCK = 4096
 
 #: Feistel batch evaluation threshold: the cycle-walk loop costs a few
 #: fancy-indexing passes per call, so small query sets stay scalar.
@@ -256,32 +263,37 @@ def dense_mask(m: int, indices) -> list[bool]:
 
 
 # ---------------------------------------------------------------------------
-# small-m Fisher–Yates swap targets (mirror SmallPermutation._build)
+# small-m Fisher–Yates tables (mirror SmallPermutation._build)
 # ---------------------------------------------------------------------------
 
-#: ``(i·GOLDEN, i+1)`` for ``i = M−1 … 1`` as uint64 arrays; an ``m ≤ M``
-#: table takes the last ``m − 1`` entries.  Grown on demand.
+#: ``(i·GOLDEN, i+1)`` for ``i = M−1 … 1`` as uint64 columns; an ``m ≤ M``
+#: table takes the last ``m − 1`` rows.  Grown on demand.
 _fy_steps = None
 _fy_bounds = None
 
 
-def fisher_yates_indices(key: int, m: int) -> list[int]:
+def fisher_yates_indices(keys, m: int):
     """The swap targets ``j_i = mulhi(mix64(key + i·GOLDEN), i+1)`` for
-    ``i = m−1 … 1`` — one SplitMix64 pass over all ``m − 1`` words.
+    ``i = m−1 … 1``, one row per key — one SplitMix64 pass over all
+    ``k·(m − 1)`` words.
 
-    Every bound ``i + 1`` is below ``2^32``, so the high word of
-    ``x · (i+1)`` needs only two 32-bit products:
-    ``(x_hi·b + ((x_lo·b) >> 32)) >> 32``, and neither sum overflows.
+    Returns a ``(k, m − 1)`` int64 array whose column ``c`` is step
+    ``i = m − 1 − c``; it is a transposed view, so each column (one step
+    over every key) is contiguous.  Every bound ``i + 1`` is below
+    ``2^32``, so the high word of ``x · (i+1)`` needs only two 32-bit
+    products: ``(x_hi·b + ((x_lo·b) >> 32)) >> 32``, and neither sum
+    overflows.
     """
     global _fy_steps, _fy_bounds
     np = _np
     if _fy_steps is None or len(_fy_steps) < m - 1:
-        i = np.arange(m - 1, 0, -1, dtype=np.uint64)
+        i = np.arange(m - 1, 0, -1, dtype=np.uint64)[:, None]
         _fy_steps = i * np.uint64(_GOLDEN)
         _fy_bounds = i + np.uint64(1)
     start = len(_fy_steps) - (m - 1)
     bounds = _fy_bounds[start:]
-    x = _mix_inplace(np, _fy_steps[start:] + np.uint64(key))
+    x = _fy_steps[start:] + np.asarray(keys, dtype=np.uint64)
+    _mix_inplace(np, x)
     c32 = np.uint64(32)
     hi = x >> c32
     hi *= bounds
@@ -290,7 +302,34 @@ def fisher_yates_indices(key: int, m: int) -> list[int]:
     x >>= c32
     hi += x
     hi >>= c32
-    return hi.tolist()
+    return hi.view(np.int64).T
+
+
+def fisher_yates_tables(keys, m: int) -> list[bytes]:
+    """The Fisher–Yates table of ``range(m)`` for every key, as ``bytes``.
+
+    Mirrors the swap loop of ``SmallPermutation._build`` for
+    ``12 < m ≤ 96`` (smaller tables decode a Lehmer code instead).  Each
+    block of up to :data:`FISHER_YATES_BLOCK` keys is one ``(m, b)``
+    ``uint8`` array whose columns are the tables, and step ``i`` swaps
+    row ``i`` with rows ``j_i`` of every key in the block at once — four
+    numpy operations per step, whatever the block size.
+    """
+    np = _np
+    out: list[bytes] = []
+    for start in range(0, len(keys), FISHER_YATES_BLOCK):
+        block = keys[start : start + FISHER_YATES_BLOCK]
+        k = len(block)
+        swaps = fisher_yates_indices(block, m).T
+        table = np.repeat(np.arange(m, dtype=np.uint8)[:, None], k, axis=1)
+        cols = np.arange(k)
+        for i, j in zip(range(m - 1, 0, -1), swaps):
+            row = table[i].copy()
+            table[i] = table[j, cols]
+            table[j, cols] = row
+        flat = table.T.tobytes()
+        out.extend(flat[r : r + m] for r in range(0, k * m, m))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ key and would derive the same table, so :func:`make_permutation` hands
 every caller holding that key the *same* :class:`SmallPermutation`
 object through a weak map, and the table is freed when no party holds it
 any more.  Sharing changes only how often a table is computed, never its
-values or the bits either party sends.
+values or the bits either party sends.  :func:`prebuild_permutations`
+goes one step further for a batch of keys known ahead of their draws: it
+builds all their missing tables in one numpy pass and registers them in
+the same weak map.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "Permutation",
     "SmallPermutation",
     "make_permutation",
+    "prebuild_permutations",
     "SMALL_THRESHOLD",
 ]
 
@@ -187,6 +191,7 @@ class SmallPermutation(Permutation):
     """Materialize-on-first-access Fisher–Yates table for small ``m``.
 
     Construction draws nothing; the table is built on the first query
+    (unless :func:`prebuild_permutations` built it in a batch already)
     from the key's own SplitMix64 sequence and stored as immutable
     ``bytes`` (``m ≤ SMALL_THRESHOLD < 256``).  ``index_of`` is a C-level
     byte search of that table, so no inverse table is kept.
@@ -216,9 +221,8 @@ class SmallPermutation(Permutation):
                 r, j = divmod(r, i + 1)
                 forward[i], forward[j] = forward[j], forward[i]
         elif _kernels._np is not None:
-            for i, j in zip(
-                range(m - 1, 0, -1), _kernels.fisher_yates_indices(self.key, m)
-            ):
+            swaps = _kernels.fisher_yates_indices([self.key], m)[0].tolist()
+            for i, j in zip(range(m - 1, 0, -1), swaps):
                 forward[i], forward[j] = forward[j], forward[i]
         else:
             key = self.key
@@ -272,3 +276,29 @@ def make_permutation(key: int, m: int) -> Permutation:
             perm = _shared[key] = SmallPermutation(key, m)
         return perm
     return FeistelPermutation(key, m)
+
+
+def prebuild_permutations(keys: list[int], m: int) -> list[SmallPermutation]:
+    """``[make_permutation(key, m) for key in keys]`` with the tables built.
+
+    For ``12 < m ≤ SMALL_THRESHOLD`` with the numpy kernels active: every
+    table not already built comes out of one
+    :func:`~repro.rand.kernels.fisher_yates_tables` pass instead of one
+    swap loop per key.  Live shared entries are reused and new ones are
+    registered, so a later :func:`make_permutation` with any of these keys
+    returns the same object while the caller holds the list.
+    """
+    perms = []
+    pending = []
+    get = _shared.get
+    for key in keys:
+        perm = get(key)
+        if perm is None or perm.m != m:
+            perm = _shared[key] = SmallPermutation(key, m)
+        if perm._forward is None:
+            pending.append(perm)
+        perms.append(perm)
+    tables = _kernels.fisher_yates_tables([perm.key for perm in pending], m)
+    for perm, table in zip(pending, tables):
+        perm._forward = table
+    return perms

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.comm import TRANSPORTS
-from repro.rand import Stream
+from repro.rand import SmallPermutation, Stream, kernels
 from repro.core import paper_iteration_count, random_color_trial_proto
 from repro.graphs import (
+    configuration_model_edge_stream,
+    from_edge_stream,
     gnp_random_graph,
     partition_random,
+    power_law_degree_sequence,
     random_regular_graph,
     vertex_coloring_conflicts,
 )
@@ -129,3 +133,60 @@ class TestCost:
         assert t.total_bits <= 20 * 12
         assert not active
         assert all(c == 1 for c in colors.values())
+
+
+@pytest.mark.skipif(not kernels.available(), reason="numpy unavailable")
+class TestPrebuiltPalettePermutations:
+    """Each iteration builds its palette tables in one kernel pass."""
+
+    def test_no_table_is_built_one_at_a_time(self, monkeypatch):
+        stream = Stream.from_seed(5, "social")
+        degrees = power_law_degree_sequence(800, 2.3, 32, stream.derive("degrees"))
+        g = from_edge_stream(
+            800, configuration_model_edge_stream(degrees, stream.derive("pairing"))
+        )
+        num_colors = g.max_degree() + 1
+        assert 12 < num_colors <= 96  # the 2-D Fisher-Yates kernel's range
+        part = partition_random(g, Stream.from_seed(6))
+
+        def run():
+            (a_colors, a_active), (b_colors, b_active), t = TRANSPORTS["count"].run(
+                *(
+                    (random_color_trial_proto, side, num_colors, Stream.from_seed(7))
+                    for side in (part.alice_graph, part.bob_graph)
+                )
+            )
+            assert a_colors == b_colors and a_active == b_active
+            return a_colors, a_active, t.fingerprint()
+
+        with kernels.disabled():
+            want = run()
+
+        single = []
+        batched = []
+        build = SmallPermutation._build
+        tables = kernels.fisher_yates_tables
+        permutation = Stream.permutation
+        drawn = []
+
+        def counted_build(perm):
+            single.append(perm.key)
+            return build(perm)
+
+        def counted_tables(keys, m):
+            batched.extend(keys)
+            return tables(keys, m)
+
+        def counted_permutation(s, m):
+            perm = permutation(s, m)
+            drawn.append(perm.key)
+            return perm
+
+        monkeypatch.setattr(SmallPermutation, "_build", counted_build)
+        monkeypatch.setattr(kernels, "fisher_yates_tables", counted_tables)
+        monkeypatch.setattr(Stream, "permutation", counted_permutation)
+        assert run() == want
+        assert single == []
+        # Both parties draw every key; the kernel builds each one once.
+        assert len(drawn) == 2 * len(batched) > 0
+        assert sorted(batched) == sorted(set(drawn))

@@ -164,6 +164,11 @@ def _fisher_yates_keys():
     return [0, _MASK64] + [rng.getrandbits(64) for _ in range(12)]
 
 
+def _fisher_yates_formula(key, m):
+    """The pure swap targets ``j_i`` for ``i = m−1 … 1``."""
+    return [(_mix64(key + i * _GOLDEN) * (i + 1)) >> 64 for i in range(m - 1, 0, -1)]
+
+
 @requires_numpy
 class TestCrossBackendEquivalence:
     """Kernels must match the pure path in values AND counter consumption."""
@@ -222,14 +227,38 @@ class TestCrossBackendEquivalence:
         sizes = [1, 2, 3, 13, 14, 40, 65, SMALL_THRESHOLD]
         random.Random(key).shuffle(sizes)
         for m in sizes:
-            want = [
-                (_mix64(key + i * _GOLDEN) * (i + 1)) >> 64 for i in range(m - 1, 0, -1)
+            assert kernels.fisher_yates_indices([key], m).tolist() == [
+                _fisher_yates_formula(key, m)
             ]
-            assert kernels.fisher_yates_indices(key, m) == want
             # Fresh (unshared) objects: the table each arm builds is its own.
             with kernels.disabled():
                 pure = SmallPermutation(key, m).materialize()
             assert SmallPermutation(key, m).materialize() == pure
+
+    @pytest.mark.parametrize("m", [2, 13, 65, SMALL_THRESHOLD])
+    def test_fisher_yates_indices_batch_rows(self, m):
+        keys = _fisher_yates_keys()
+        swaps = kernels.fisher_yates_indices(keys, m)
+        assert swaps.shape == (len(keys), m - 1)
+        for key, row in zip(keys, swaps.tolist()):
+            assert row == _fisher_yates_formula(key, m)
+
+    @pytest.mark.parametrize("m", [13, 14, 65, SMALL_THRESHOLD])
+    def test_fisher_yates_tables(self, m):
+        keys = _fisher_yates_keys()
+        with kernels.disabled():
+            want = [bytes(SmallPermutation(key, m).materialize()) for key in keys]
+        assert kernels.fisher_yates_tables(keys, m) == want
+
+    @pytest.mark.parametrize("k", [0, 1, 3000, kernels.FISHER_YATES_BLOCK + 1])
+    def test_fisher_yates_tables_batch_sizes(self, k):
+        rng = random.Random(k)
+        keys = [rng.getrandbits(64) for _ in range(k)]
+        with kernels.disabled():
+            want = [bytes(SmallPermutation(key, 65).materialize()) for key in keys]
+        got = kernels.fisher_yates_tables(keys, 65)
+        assert got == want
+        assert all(type(table) is bytes for table in got)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,18 @@ import pytest
 from repro.rand import (
     SMALL_THRESHOLD,
     FeistelPermutation,
+    LegacyTape,
     SmallPermutation,
     Stream,
+    kernels,
     make_permutation,
+    prefetch_permutations,
 )
 from repro.rand import perm as perm_module
+
+requires_numpy = pytest.mark.skipif(
+    not kernels.available(), reason="numpy unavailable (or REPRO_NO_NUMPY set)"
+)
 
 NON_POWERS_OF_TWO = [1, 2, 3, 5, 6, 7, 9, 11, 12, 13, 37, 97, 100, 129, 1000, 4097]
 
@@ -161,3 +168,67 @@ class TestStreamPermutation:
         s = Stream.from_seed(7)
         s.permutation(1000)
         assert s.counter == 1
+
+
+class TestPrefetchPermutations:
+    """A batch of next permutations, built in one pass, drawn by no one."""
+
+    @staticmethod
+    def streams(count=40):
+        out = [Stream.from_seed(3, "prefetch", v) for v in range(count)]
+        for advanced in out[::3]:
+            advanced.coins(5, 0.3)
+        return out
+
+    @requires_numpy
+    @pytest.mark.parametrize("m", [13, 65, SMALL_THRESHOLD])
+    def test_returns_each_streams_next_permutation(self, m):
+        streams = self.streams()
+        held = prefetch_permutations(streams, m)
+        assert len(held) == len(streams)
+        for perm, stream in zip(held, streams):
+            assert stream.permutation(m) is perm
+            with kernels.disabled():
+                pure = SmallPermutation(perm.key, m).materialize()
+            assert perm.materialize() == pure
+
+    @requires_numpy
+    def test_counters_do_not_move(self):
+        streams = self.streams()
+        before = [s.counter for s in streams]
+        prefetch_permutations(streams, 65)
+        assert [s.counter for s in streams] == before
+
+    @requires_numpy
+    def test_live_key_is_reused_not_rebuilt(self, monkeypatch):
+        streams = self.streams(8)
+        live = Stream(streams[0].key, streams[0].counter).permutation(65)
+        table = live.materialize()
+        built = []
+        tables = kernels.fisher_yates_tables
+
+        def recording(keys, m):
+            built.extend(keys)
+            return tables(keys, m)
+
+        monkeypatch.setattr(kernels, "fisher_yates_tables", recording)
+        held = prefetch_permutations(streams, 65)
+        assert held[0] is live
+        assert live.key not in built
+        assert sorted(built) == sorted(perm.key for perm in held[1:])
+        assert live.materialize() == table
+        assert prefetch_permutations(streams, 65) == held
+        assert len(built) == len(streams) - 1
+
+    @pytest.mark.parametrize("m", [0, 5, 12, SMALL_THRESHOLD + 1, 200])
+    def test_nothing_outside_the_table_kernel_range(self, m):
+        assert prefetch_permutations(self.streams(), m) == []
+
+    def test_nothing_for_legacy_tapes(self):
+        tapes = [LegacyTape(seed).derive("x") for seed in range(4)]
+        assert prefetch_permutations(tapes, 65) == []
+        assert prefetch_permutations([Stream(1), *tapes], 65) == []
+
+    def test_nothing_with_kernels_disabled(self):
+        with kernels.disabled():
+            assert prefetch_permutations(self.streams(), 65) == []
