@@ -6,7 +6,7 @@ leftover instance, neighborhood scans for Random-Color-Trial
 confirmations) and the three end-to-end protocol drivers, on the standard
 ``medium_partition`` workload of the benchmark suite (random d-regular,
 n=512, d=8, seed=42) unless told otherwise.  Both backends run the
-*identical* instance — the bitset partition is a converted copy — so the
+*identical* instance — the csr partition is a converted copy — so the
 comparison is purely about the adjacency representation.
 
 ``transport_comparison`` times the end-to-end protocols across the three
@@ -89,17 +89,17 @@ def backend_comparison(
     repeat: int = 5,
     transport: str = "lockstep",
 ) -> list[dict[str, Any]]:
-    """Rows of ``{kernel, set_s, bitset_s, speedup}`` for the table renderers.
+    """Rows of ``{kernel, set_s, csr_s, speedup}`` for the table renderers.
 
     ``transport`` picks the comm simulation used by the end-to-end
     protocol rows (the kernel rows never communicate).
     """
     part = medium_workload(n, d, seed)
-    bpart = part.astype("bitset")
-    g, b = part.graph, bpart.graph
+    cpart = part.astype("csr")
+    g, c = part.graph, cpart.graph
     half = list(range(0, g.n, 2))
     packed_g = g.pack_vertices(half)
-    packed_b = b.pack_vertices(half)
+    packed_c = c.pack_vertices(half)
 
     def scan(graph, packed):
         def run():
@@ -108,50 +108,50 @@ def backend_comparison(
         return run
 
     kernels: list[tuple[str, Callable[[], Any], Callable[[], Any], int]] = [
-        ("graph.copy", g.copy, b.copy, 20 * repeat),
+        ("graph.copy", g.copy, c.copy, 20 * repeat),
         (
             "induced_subgraph(n/2)",
             lambda: g.induced_subgraph(half),
-            lambda: b.induced_subgraph(half),
+            lambda: c.induced_subgraph(half),
             4 * repeat,
         ),
-        ("neighbors_in sweep", scan(g, packed_g), scan(b, packed_b), 4 * repeat),
+        ("neighbors_in sweep", scan(g, packed_g), scan(c, packed_c), 4 * repeat),
         (
             "is_independent_set(n/2)",
             lambda: g.is_independent_set(half),
-            lambda: b.is_independent_set(half),
+            lambda: c.is_independent_set(half),
             4 * repeat,
         ),
         (
             "protocol: vertex (thm 1)",
             lambda: run_vertex_coloring(part, seed=seed, transport=transport),
-            lambda: run_vertex_coloring(bpart, seed=seed, transport=transport),
+            lambda: run_vertex_coloring(cpart, seed=seed, transport=transport),
             repeat,
         ),
         (
             "protocol: edge (thm 2)",
             lambda: run_edge_coloring(part, transport=transport),
-            lambda: run_edge_coloring(bpart, transport=transport),
+            lambda: run_edge_coloring(cpart, transport=transport),
             repeat,
         ),
         (
             "protocol: zero-comm (thm 3)",
             lambda: run_zero_comm_edge_coloring(part, transport=transport),
-            lambda: run_zero_comm_edge_coloring(bpart, transport=transport),
+            lambda: run_zero_comm_edge_coloring(cpart, transport=transport),
             repeat,
         ),
     ]
 
     rows = []
-    for name, set_fn, bitset_fn, reps in kernels:
+    for name, set_fn, csr_fn, reps in kernels:
         set_s = _time(set_fn, reps)
-        bitset_s = _time(bitset_fn, reps)
+        csr_s = _time(csr_fn, reps)
         rows.append(
             {
                 "kernel": name,
                 "set_s": set_s,
-                "bitset_s": bitset_s,
-                "speedup": set_s / bitset_s if bitset_s > 0 else float("inf"),
+                "csr_s": csr_s,
+                "speedup": set_s / csr_s if csr_s > 0 else float("inf"),
             }
         )
     return rows
@@ -172,14 +172,14 @@ def graphs_comparison(
     * ``build_s`` — best-of construction time from the shared edge list.
     * ``probe_s`` — one confirmation-style sweep: pack half the vertex
       set, then ``has_neighbor_in`` for every vertex (the Random-Color-
-      Trial hot probe).  This is where bitset's O(n/64) words-per-probe
-      masks collapse against CSR's O(deg) row scans on sparse graphs.
+      Trial hot probe).  The set backend answers it with one C-level
+      ``isdisjoint``; CSR scans an O(deg) row in Python.
     * ``mem_mb`` / ``peak_mb`` — tracemalloc-retained structure size and
-      build-time allocation peak (bitset adjacency is O(n²) bits, so at
-      n = 10⁵ this is the backend-picking number).
+      build-time allocation peak (a hash set per vertex against two flat
+      arrays, so at n = 10⁵ this is the backend-picking number).
 
-    The ``csr`` row adds ``probe_speedup_vs_bitset`` and
-    ``mem_ratio_vs_bitset`` — the quantities the CI guard
+    The ``csr`` row adds ``probe_speedup_vs_set`` and
+    ``mem_ratio_vs_set`` — the quantities the CI guard
     (``bench --graphs --min-csr-speedup``) floors.
     """
     import tracemalloc
@@ -219,14 +219,13 @@ def graphs_comparison(
         }
         by_backend[backend] = row
         rows.append(row)
-    csr, bitset = by_backend.get("csr"), by_backend.get("bitset")
-    if csr and bitset:
-        csr["probe_speedup_vs_bitset"] = (
-            bitset["probe_s"] / csr["probe_s"] if csr["probe_s"] > 0 else float("inf")
-        )
-        csr["mem_ratio_vs_bitset"] = (
-            bitset["mem_mb"] / csr["mem_mb"] if csr["mem_mb"] > 0 else float("inf")
-        )
+    csr, ref = by_backend["csr"], by_backend["set"]
+    csr["probe_speedup_vs_set"] = (
+        ref["probe_s"] / csr["probe_s"] if csr["probe_s"] > 0 else float("inf")
+    )
+    csr["mem_ratio_vs_set"] = (
+        ref["mem_mb"] / csr["mem_mb"] if csr["mem_mb"] > 0 else float("inf")
+    )
     return rows
 
 

@@ -404,7 +404,7 @@ def smoke_scenarios() -> list[Scenario]:
     scenarios = []
     for protocol in ("vertex", "edge", "edge_zero_comm"):
         for partition in ("random", "all_alice", "degree_split"):
-            for backend in ("set", "bitset", "csr"):
+            for backend in ("set", "csr"):
                 scenarios.append(
                     Scenario(
                         family="regular",
@@ -420,7 +420,7 @@ def smoke_scenarios() -> list[Scenario]:
             params=_params(n=48, p=0.2),
             partition="random",
             protocol="vertex",
-            backend="bitset",
+            backend="csr",
         )
     )
     scenarios.append(
@@ -429,7 +429,7 @@ def smoke_scenarios() -> list[Scenario]:
             params=_params(dimension=5),
             partition="crossing",
             protocol="edge",
-            backend="bitset",
+            backend="csr",
         )
     )
     scenarios.append(
@@ -529,10 +529,9 @@ def large_scenarios() -> list[Scenario]:
     """The million-vertex tier: CSR-only scale runs (``sweep --large``).
 
     Power-law social instances at n ∈ {10⁵, 10⁶}, pinned to the csr
-    backend — the set and bitset backends cannot represent these sizes
-    in reasonable memory (bitset adjacency alone is O(n²) bits: ~1.25 GB
-    at 10⁵ and ~125 GB at 10⁶).  Kept out of :func:`default_scenarios`
-    so ordinary sweeps stay minutes-free.
+    backend — the set backend's per-vertex hash sets retain about 8x the
+    memory of csr's two flat arrays (``bench --graphs``).  Kept out of
+    :func:`default_scenarios` so ordinary sweeps stay minutes-free.
     """
     scenarios = [
         Scenario(

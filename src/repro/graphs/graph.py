@@ -8,8 +8,8 @@ Algorithm 2.
 
 ``Graph`` doubles as the *backend contract*: every method here (including
 the accessor block at the bottom) is part of the API the protocols program
-against, and :class:`repro.graphs.bitset.BitsetGraph` re-implements the
-whole surface over packed integer bitmasks.  Hot paths must go through the
+against, and :class:`repro.graphs.csr.CSRGraph` re-implements the whole
+surface over flat index arrays.  Hot paths must go through the
 accessors — ``iter_neighbors``, ``pack_vertices``, ``neighbors_in``,
 ``neighbor_colors``, ``induced_subgraph`` — rather than materializing
 ``neighbors()`` sets, so each backend can use its native representation.
@@ -146,8 +146,8 @@ class Graph:
     # -- backend-agnostic accessors ---------------------------------------
     #
     # The protocols' hot paths call these instead of materializing
-    # ``neighbors()``; BitsetGraph overrides them with word-parallel
-    # bitmask implementations.
+    # ``neighbors()``; CSRGraph overrides them with row scans over its
+    # flat index arrays.
 
     def iter_neighbors(self, v: int) -> Iterator[int]:
         """Iterate the neighbors of ``v`` in increasing order."""
@@ -156,8 +156,8 @@ class Graph:
     def pack_vertices(self, vertices: Iterable[int]) -> object:
         """Pack a vertex collection into this backend's native set type.
 
-        The result is opaque — pass it back to :meth:`neighbors_in`.  The
-        set backend uses a frozenset; the bitset backend an int mask.
+        The result is opaque — pass it back to :meth:`neighbors_in`.  Both
+        backends use a frozenset.
         """
         return frozenset(vertices)
 

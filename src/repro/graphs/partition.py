@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from ..rand import RandomSource, as_random
-from .bitset import as_backend
+from .csr import as_backend
 from .graph import Edge, Graph, canonical_edge
 
 __all__ = [

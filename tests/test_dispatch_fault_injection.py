@@ -149,7 +149,7 @@ def test_worker_sigkill_mid_shard_resumes_and_matches_serial(tmp_path):
     coordinator = _coordinator(
         tmp_path,
         executor,
-        DispatchConfig(workers=2, shards=2, backoff=0.05),
+        DispatchConfig(workers=2, shards=3, backoff=0.05),
         progress=progress,
     )
     victim = _biggest_shard(coordinator)
@@ -179,7 +179,7 @@ def test_inject_kill_hook_fires_and_output_matches_serial(tmp_path):
     # a mid-flight worker to SIGKILL.
     executor = ScriptedExecutor()
     progress: list[str] = []
-    config = DispatchConfig(workers=2, shards=2, backoff=0.05)
+    config = DispatchConfig(workers=2, shards=3, backoff=0.05)
     coordinator = _coordinator(tmp_path, executor, config, progress=progress)
     victim = _biggest_shard(coordinator)
     executor.wrap[(victim.shard_id, 1)] = "hang"
@@ -199,7 +199,7 @@ def test_straggler_timeout_triggers_journal_resumed_redispatch(tmp_path):
     coordinator = _coordinator(
         tmp_path,
         executor,
-        DispatchConfig(workers=2, shards=2, backoff=0.05, timeout=2.0),
+        DispatchConfig(workers=2, shards=3, backoff=0.05, timeout=2.0),
         progress=progress,
     )
     victim = _biggest_shard(coordinator)
@@ -222,7 +222,7 @@ def test_torn_journal_tail_is_dropped_on_resume(tmp_path):
     # torn (newline-less, half-written) line.  Resume must replay the
     # intact prefix, drop the torn tail, and still match serial bytes.
     coordinator = _coordinator(
-        tmp_path, LocalExecutor(), DispatchConfig(workers=2, shards=2)
+        tmp_path, LocalExecutor(), DispatchConfig(workers=2, shards=3)
     )
     _, json_path, _ = coordinator.run()
     serial = _serial_bytes(tmp_path)
@@ -245,7 +245,7 @@ def test_torn_journal_tail_is_dropped_on_resume(tmp_path):
     resumed = _coordinator(
         tmp_path,
         LocalExecutor(),
-        DispatchConfig(workers=2, shards=2),
+        DispatchConfig(workers=2, shards=3),
         resume=True,
         progress=progress,
     )
@@ -299,7 +299,7 @@ def test_coordinator_crash_between_merges_then_resume(tmp_path):
 
 def test_resume_with_changed_selection_is_refused(tmp_path):
     coordinator = _coordinator(
-        tmp_path, LocalExecutor(), DispatchConfig(workers=1, shards=2)
+        tmp_path, LocalExecutor(), DispatchConfig(workers=1, shards=3)
     )
     coordinator.run()
     with pytest.raises(DispatchError, match="does not match"):
@@ -309,6 +309,6 @@ def test_resume_with_changed_selection_is_refused(tmp_path):
             work_dir=tmp_path / "work",
             out_dir=tmp_path / "out",
             executor=LocalExecutor(),
-            config=DispatchConfig(workers=1, shards=2, reps=3),  # reps changed
+            config=DispatchConfig(workers=1, shards=3, reps=3),  # reps changed
             resume=True,
         )

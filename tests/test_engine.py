@@ -47,9 +47,18 @@ def test_scenario_validation():
         Scenario("regular", (), "random", "vertex", backend="nope")
 
 
+def test_deleted_backend_name_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="unknown backend"):
+        _tiny("vertex", backend="bitset")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--smoke", "--backend", "bitset", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_scenario_name_and_seed_are_stable():
     a = _tiny("vertex")
-    b = _tiny("vertex", backend="bitset")
+    b = _tiny("vertex", backend="csr")
     assert a.name == "vertex/regular(d=4,n=24)/random/set"
     assert a.coordinate == b.coordinate
     # Seeds hash the (family, params) workload key only: every protocol,
@@ -128,17 +137,16 @@ def test_every_protocol_runs_one_tiny_scenario():
 
 
 def test_backend_rows_agree_in_sweep():
-    scenarios = [_tiny("vertex", backend=b) for b in ("set", "bitset", "csr")]
-    set_row, bitset_row, csr_row = sweep(scenarios, jobs=1)
-    for row in (bitset_row, csr_row):
-        assert set_row["total_bits"] == row["total_bits"]
-        assert set_row["rounds"] == row["rounds"]
-        # Everything but the coordinate label must agree key-for-key, so
-        # sweep.json records differ only in the backend column.
-        strip = lambda r: {
-            k: v for k, v in r.items() if k not in ("scenario", "backend")
-        }
-        assert strip(set_row) == strip(row)
+    scenarios = [_tiny("vertex", backend=b) for b in ("set", "csr")]
+    set_row, csr_row = sweep(scenarios, jobs=1)
+    assert set_row["total_bits"] == csr_row["total_bits"]
+    assert set_row["rounds"] == csr_row["rounds"]
+    # Everything but the coordinate label must agree key-for-key, so
+    # sweep.json records differ only in the backend column.
+    strip = lambda r: {
+        k: v for k, v in r.items() if k not in ("scenario", "backend")
+    }
+    assert strip(set_row) == strip(csr_row)
 
 
 def test_sweep_parallel_matches_serial():
@@ -155,9 +163,9 @@ def test_iter_scenarios_filter_and_backend():
     only_edge = list(iter_scenarios(grid, pattern="edge/"))
     assert only_edge and all("edge/" in s.name for s in only_edge)
     both = list(iter_scenarios([_tiny("vertex")], backend="both"))
-    assert {s.backend for s in both} == {"set", "bitset", "csr"}
-    pinned = list(iter_scenarios(grid, backend="bitset"))
-    assert all(s.backend == "bitset" for s in pinned)
+    assert {s.backend for s in both} == {"set", "csr"}
+    pinned = list(iter_scenarios(grid, backend="csr"))
+    assert all(s.backend == "csr" for s in pinned)
 
 
 def test_registry_grids_are_valid():
@@ -184,18 +192,18 @@ def test_backend_comparison_rows():
     rows = backend_comparison(n=48, d=4, seed=1, repeat=1)
     kernels = {r["kernel"] for r in rows}
     assert "graph.copy" in kernels
-    assert all(r["set_s"] > 0 and r["bitset_s"] > 0 for r in rows)
+    assert all(r["set_s"] > 0 and r["csr_s"] > 0 for r in rows)
 
 
 def test_graphs_comparison_rows():
     from repro.engine import graphs_comparison
 
     rows = graphs_comparison(n=400, degree=8, seed=1, repeat=1)
-    assert [r["backend"] for r in rows] == ["set", "bitset", "csr"]
+    assert [r["backend"] for r in rows] == ["set", "csr"]
     assert len({r["m"] for r in rows}) == 1  # identical shared edge list
     csr = rows[-1]
-    assert csr["probe_speedup_vs_bitset"] > 0
-    assert csr["mem_ratio_vs_bitset"] > 1  # CSR beats dense masks already at n=400
+    assert csr["probe_speedup_vs_set"] > 0
+    assert csr["mem_ratio_vs_set"] > 1  # flat arrays beat hash sets already at n=400
     assert all(r["build_s"] > 0 and r["probe_s"] > 0 for r in rows)
 
 
@@ -278,7 +286,7 @@ def test_cli_bench_graphs(tmp_path, capsys):
     assert "csr guard" in out
     document = json.loads(out_json.read_text())
     assert document["bench"] == "graphs_comparison"
-    assert {r["backend"] for r in document["rows"]} == {"set", "bitset", "csr"}
+    assert {r["backend"] for r in document["rows"]} == {"set", "csr"}
 
 
 def test_cli_bench_graphs_guard_flag_needs_graphs(capsys):

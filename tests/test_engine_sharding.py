@@ -45,11 +45,11 @@ def _tiny_grid() -> list[Scenario]:
     """Six fast coordinates spanning protocols, partitions, and backends."""
     return [
         _tiny("vertex"),
-        _tiny("vertex", backend="bitset"),
+        _tiny("vertex", backend="csr"),
         _tiny("vertex", partition="all_alice"),
         _tiny("edge"),
         _tiny("edge_zero_comm"),
-        _tiny("edge_zero_comm", backend="bitset"),
+        _tiny("edge_zero_comm", backend="csr"),
     ]
 
 
@@ -468,12 +468,12 @@ def test_cli_sharded_sweep_and_merge_reproduce_serial(tmp_path, capsys):
     serial_out = tmp_path / "serial"
     assert main(["sweep", "--smoke", *_FILTER, "--jobs", "1", "--out", str(serial_out)]) == 0
     shard_dirs = []
-    for k in (1, 2):
+    for k in (1, 2, 3):
         out = tmp_path / f"shard{k}"
         shard_dirs.append(str(out))
         code = main(
             ["sweep", "--smoke", *_FILTER, "--jobs", "1",
-             "--shard", f"{k}/2", "--out", str(out)]
+             "--shard", f"{k}/3", "--out", str(out)]
         )
         assert code == 0
     merged_out = tmp_path / "merged"
@@ -487,17 +487,17 @@ def test_cli_sharded_sweep_and_merge_reproduce_serial(tmp_path, capsys):
     assert (merged_out / "sweep.json").read_bytes() == serial_doc
     # Shard documents are tagged with their spec.
     shard_doc = json.loads((tmp_path / "shard1" / "sweep.json").read_text())
-    assert shard_doc["shard"] == "1/2"
+    assert shard_doc["shard"] == "1/3"
 
 
 def test_cli_sweep_and_merge_custom_label(tmp_path):
     shard_dirs = []
-    for k in (1, 2):
+    for k in (1, 2, 3):
         out = tmp_path / f"shard{k}"
         shard_dirs.append(str(out))
         code = main(
             ["sweep", "--smoke", *_FILTER, "--jobs", "1", "--label", "nightly",
-             "--shard", f"{k}/2", "--out", str(out)]
+             "--shard", f"{k}/3", "--out", str(out)]
         )
         assert code == 0
         assert (out / "nightly.json").exists()
@@ -513,7 +513,7 @@ def test_cli_sweep_and_merge_custom_label(tmp_path):
 def test_cli_merge_rejects_incomplete_union(tmp_path, capsys):
     out = tmp_path / "shard1"
     assert main(
-        ["sweep", "--smoke", *_FILTER, "--jobs", "1", "--shard", "1/2",
+        ["sweep", "--smoke", *_FILTER, "--jobs", "1", "--shard", "1/3",
          "--out", str(out)]
     ) == 0
     code = main(

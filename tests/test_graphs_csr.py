@@ -1,9 +1,9 @@
 """Unit tests for the CSR graph backend.
 
-Mirrors ``test_graphs_bitset.py`` for the sparse backend: contract
-checks, the mutation overlay (pending additions + in-row removals), the
-numpy/pure build-parity guarantee, and the backend-native confirmation
-sweep that ``repro.core.probes`` dispatches to.
+Contract checks against the set-backed reference, the mutation overlay
+(pending additions + in-row removals), the numpy/pure build-parity
+guarantee, and the backend-native confirmation sweep that
+``repro.core.probes`` dispatches to.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.rand import kernels
 
 
 def test_csr_is_a_registered_backend():
-    assert GRAPH_BACKENDS["csr"] is CSRGraph
+    assert GRAPH_BACKENDS == {"set": Graph, "csr": CSRGraph}
 
 
 def test_basic_construction_and_queries():
@@ -168,8 +168,17 @@ def test_as_backend_round_trip():
     c = as_backend(g, "csr")
     assert isinstance(c, CSRGraph)
     assert c == g and list(c.edges()) == list(g.edges())
+    assert as_backend(c, "csr") is c
     back = as_backend(c, "set")
     assert type(back) is Graph and back == g
+    for unknown in ("quantum", "bitset"):
+        with pytest.raises(ValueError, match="unknown graph backend"):
+            as_backend(g, unknown)
+    merged = CSRGraph(4, [(0, 1)]).union(CSRGraph(4, [(2, 3)]))
+    assert isinstance(merged, CSRGraph)
+    assert merged.edge_list() == [(0, 1), (2, 3)]
+    sub = merged.subgraph_edges([(0, 1)])
+    assert isinstance(sub, CSRGraph) and sub.edge_list() == [(0, 1)]
 
 
 def test_confirmation_bits_matches_generic_probe_path():
@@ -196,15 +205,6 @@ def test_induced_subgraph_and_subgraph_edges_parity():
     assert c.induced_subgraph(keep) == g.induced_subgraph(keep)
     some = [e for i, e in enumerate(g.edges()) if i % 2 == 0]
     assert c.subgraph_edges(some) == g.subgraph_edges(some)
-
-
-def test_neighbor_mask_matches_bitset():
-    rng = random.Random(21)
-    g = gnp_random_graph(70, 0.1, rng)
-    b = as_backend(g, "bitset")
-    c = as_backend(g, "csr")
-    for v in range(70):
-        assert c.neighbor_mask(v) == b.neighbor_mask(v)
 
 
 def test_randomized_mirror_against_set_backend():

@@ -93,7 +93,7 @@ def test_dispatch_with_injected_kill_bytes_identical_observed(tmp_path):
     coordinator = _coordinator(
         tmp_path,
         executor,
-        DispatchConfig(workers=2, shards=2, backoff=0.05),
+        DispatchConfig(workers=2, shards=3, backoff=0.05),
     )
     victim = _biggest_shard(coordinator)
     executor.wrap[(victim.shard_id, 1)] = "selfkill"
@@ -107,9 +107,9 @@ def test_dispatch_with_injected_kill_bytes_identical_observed(tmp_path):
     document = json.loads((tmp_path / "metrics.json").read_text())
     counters, gauges = document["counters"], document["gauges"]
     assert counters["dispatch.retries"] == 1
-    assert counters["dispatch.launches"] == victim.attempts + 1
-    assert counters["dispatch.shards_merged"] == 2
-    assert gauges["dispatch.shards"] == 2
+    assert counters["dispatch.launches"] == victim.attempts + 2
+    assert counters["dispatch.shards_merged"] == 3
+    assert gauges["dispatch.shards"] == 3
     assert gauges["dispatch.merge_tree_depth"] >= 1
     events = {
         e["name"] for e in read_trace(tmp_path / "trace.jsonl")
