@@ -27,11 +27,23 @@ from repro.core import (
 from repro.graphs import (
     PARTITIONERS,
     as_backend,
+    barbell_of_stars,
+    caterpillar_graph,
+    complete_bipartite,
+    complete_graph,
+    configuration_model_graph,
+    cycle_graph,
+    disjoint_union,
     gnp_random_graph,
+    gnp_with_max_degree,
     grid_graph,
     hypercube_graph,
     partition_random,
+    path_graph,
+    power_law_degree_sequence,
+    random_bipartite_regular,
     random_regular_graph,
+    star_graph,
 )
 
 
@@ -49,6 +61,22 @@ WORKLOADS = [
     ("gnp-48", lambda rng: gnp_random_graph(48, 0.15, rng)),
     ("grid-8x8", lambda rng: grid_graph(8, 8)),
     ("hypercube-5", lambda rng: hypercube_graph(5)),
+    # Degree-skewed and structured families: high-degree hubs next to
+    # leaves, isolated vertices and complete cores are where the CSR
+    # row layout diverges most from the dict-of-sets reference.
+    ("power-law-80", lambda rng: configuration_model_graph(
+        power_law_degree_sequence(80, 2.2, 20, rng), rng)),
+    ("gnp-capped-60", lambda rng: gnp_with_max_degree(60, 0.2, 6, rng)),
+    ("star-24", lambda rng: star_graph(24)),
+    ("path-30", lambda rng: path_graph(30)),
+    ("cycle-31", lambda rng: cycle_graph(31)),
+    ("complete-16", lambda rng: complete_graph(16)),
+    ("bipartite-6x9", lambda rng: complete_bipartite(6, 9)),
+    ("bipartite-regular-20-5", lambda rng: random_bipartite_regular(20, 5, rng)),
+    ("caterpillar-10x3", lambda rng: caterpillar_graph(10, 3)),
+    ("barbell-stars-4x6", lambda rng: barbell_of_stars(4, 6)),
+    ("union-with-isolated", lambda rng: disjoint_union(
+        [grid_graph(4, 4), star_graph(8), path_graph(1), path_graph(1)])),
 ]
 
 
@@ -101,6 +129,25 @@ def test_partitioner_parity(scheme, backend):
     a = PARTITIONERS[scheme](graph, random.Random(99))
     b = PARTITIONERS[scheme](alt_graph, random.Random(99))
     assert set(a.alice_edges) == set(b.alice_edges)
+
+
+@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_partitioner_parity_on_skewed_degrees(scheme, backend):
+    """Same split on a power-law graph, where degree-driven schemes
+    (degree_split, crossing) see unequal endpoint degrees on most edges.
+    Each party's local graph must also list its edges in the same order."""
+    rng = random.Random(8)
+    graph = configuration_model_graph(
+        power_law_degree_sequence(60, 2.0, 15, rng), rng
+    )
+    alt_graph = as_backend(graph, backend)
+    a = PARTITIONERS[scheme](graph, random.Random(101))
+    b = PARTITIONERS[scheme](alt_graph, random.Random(101))
+    assert a.alice_edges == b.alice_edges
+    assert a.bob_edges == b.bob_edges
+    assert a.alice_graph.edge_list() == b.alice_graph.edge_list()
+    assert a.bob_graph.edge_list() == b.bob_graph.edge_list()
 
 
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
