@@ -163,8 +163,11 @@ def color_with_own_palette(graph: Graph, palette: list[int]) -> dict[Edge, int]:
     """
     if graph.m == 0:
         return {}
-    base = fournier_edge_coloring(graph, num_colors=len(palette))
-    return {edge: palette[c - 1] for edge, c in base.items()}
+    colors = fournier_edge_coloring(graph, num_colors=len(palette))
+    # Remap in place: at n = 10⁶ a second edge map costs tens of MB.
+    for edge, c in colors.items():
+        colors[edge] = palette[c - 1]
+    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..comm.ledger import Transcript
-from ..graphs.graph import Edge, canonical_edge
+from ..graphs.graph import Edge
 from ..graphs.partition import EdgePartition
+from ..graphs.validation import edge_coloring_problems
 from .edge_coloring import EdgeColoringResult
 
 __all__ = [
@@ -62,7 +63,8 @@ def validate_weaker_result(
     """All violations of the weaker-output contract (empty = valid).
 
     Checks: every edge reported by at least one party; overlapping reports
-    agree; no phantom edges; colors in palette; union proper.
+    agree; no phantom edges; and, through the shared edge-coloring check,
+    colors in palette and union proper.
     """
     problems: list[str] = []
     graph = partition.graph
@@ -85,27 +87,7 @@ def validate_weaker_result(
             f"e.g. {disagreements[:3]}"
         )
 
-    merged = result.colors
-    bad_palette = [
-        e for e, c in merged.items() if not 1 <= c <= result.num_colors
-    ]
-    if bad_palette:
-        problems.append(
-            f"{len(bad_palette)} reports outside palette [1..{result.num_colors}]"
-        )
-    for v in graph.vertices():
-        seen: dict[int, Edge] = {}
-        for u in graph.neighbors(v):
-            edge = canonical_edge(u, v)
-            color = merged.get(edge)
-            if color is None:
-                continue
-            if color in seen:
-                problems.append(
-                    f"edges {seen[color]} and {edge} share color {color} at {v}"
-                )
-                break
-            seen[color] = edge
+    problems += edge_coloring_problems(graph, result.colors, result.num_colors)
     return problems
 
 

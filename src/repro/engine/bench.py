@@ -172,8 +172,8 @@ def graphs_comparison(
     * ``build_s`` — best-of construction time from the shared edge list.
     * ``probe_s`` — one confirmation-style sweep: pack half the vertex
       set, then ``has_neighbor_in`` for every vertex (the Random-Color-
-      Trial hot probe).  The set backend answers it with one C-level
-      ``isdisjoint``; CSR scans an O(deg) row in Python.
+      Trial hot probe).  Both backends answer it with one C-level
+      ``isdisjoint``: set against a hash set, CSR against a row slice.
     * ``mem_mb`` / ``peak_mb`` — tracemalloc-retained structure size and
       build-time allocation peak (a hash set per vertex against two flat
       arrays, so at n = 10⁵ this is the backend-picking number).

@@ -38,12 +38,11 @@ from ..graphs import (
     gnp_random_graph,
     grid_graph,
     hypercube_graph,
-    is_proper_edge_coloring,
-    is_proper_vertex_coloring,
     power_law_degree_sequence,
     random_bipartite_regular,
     random_regular_graph,
 )
+from ..verify import verify_edge_result, verify_vertex_result
 
 __all__ = [
     "FAMILIES",
@@ -307,8 +306,10 @@ class ProtocolAdapter:
     """Uniform driver interface over the paper's protocol entry points.
 
     ``run(partition, seed, transport)`` returns the metric record the
-    engine stores; every adapter validates its coloring against the
-    definition-level checkers so a sweep doubles as a correctness harness.
+    engine stores; every adapter audits its result against the model's
+    full contract (:mod:`repro.verify`: properness, declared palette,
+    ownership, zero communication for Theorem 3), so a sweep doubles as a
+    correctness harness.
     """
 
     key: str
@@ -335,25 +336,23 @@ def _run_vertex(partition, seed: int, transport: str = "lockstep") -> dict[str, 
         partition, rand=Stream.from_seed(seed), transport=transport
     )
     _observe_result("vertex", result)
-    graph = partition.graph
     return {
         "total_bits": result.total_bits,
         "rounds": result.rounds,
         "num_colors": result.num_colors,
         "leftover": result.leftover_size,
-        "valid": is_proper_vertex_coloring(graph, result.colors, result.num_colors),
+        "valid": verify_vertex_result(partition, result).ok,
     }
 
 
 def _run_edge(partition, seed: int, transport: str = "lockstep") -> dict[str, Any]:
     result = run_edge_coloring(partition, transport=transport, rand=Stream.from_seed(seed))
     _observe_result("edge", result)
-    graph = partition.graph
     return {
         "total_bits": result.total_bits,
         "rounds": result.rounds,
         "num_colors": result.num_colors,
-        "valid": is_proper_edge_coloring(graph, result.colors, result.num_colors),
+        "valid": verify_edge_result(partition, result).ok,
     }
 
 
@@ -364,12 +363,11 @@ def _run_edge_zero_comm(
         partition, transport=transport, rand=Stream.from_seed(seed)
     )
     _observe_result("edge_zero_comm", result)
-    graph = partition.graph
     return {
         "total_bits": result.total_bits,
         "rounds": result.rounds,
         "num_colors": result.num_colors,
-        "valid": is_proper_edge_coloring(graph, result.colors, result.num_colors),
+        "valid": verify_edge_result(partition, result, zero_communication=True).ok,
     }
 
 

@@ -291,7 +291,7 @@ class CSRGraph(Graph):
 
     def neighbors(self, v: int) -> set[int]:
         """The neighbor set of ``v`` (a fresh set)."""
-        return set(self.iter_neighbors(v))
+        return set(self._row(v))
 
     def degree(self, v: int) -> int:
         """Degree of ``v`` (no compaction: row length + overlay size)."""
@@ -335,39 +335,31 @@ class CSRGraph(Graph):
 
     # -- backend-agnostic accessors ---------------------------------------
 
-    def iter_neighbors(self, v: int) -> Iterator[int]:
-        """Iterate the neighbors of ``v`` in increasing order."""
+    def _row(self, v: int) -> array:
+        """The sorted neighbor row of ``v`` (a slice of the index array)."""
         self._compact()
         start = self._indptr[v]
-        return iter(self._indices[start : start + self._deg[v]])
+        return self._indices[start : start + self._deg[v]]
+
+    def iter_neighbors(self, v: int) -> Iterator[int]:
+        """Iterate the neighbors of ``v`` in increasing order."""
+        return iter(self._row(v))
 
     def neighbors_in(self, v: int, packed: frozenset) -> list[int]:
         """Neighbors of ``v`` inside a packed set, in increasing order."""
-        self._compact()
-        start = self._indptr[v]
-        row = self._indices[start : start + self._deg[v]]
-        return [u for u in row if u in packed]
+        return [u for u in self._row(v) if u in packed]
 
     def has_neighbor_in(self, v: int, packed: frozenset) -> bool:
         """Whether any neighbor of ``v`` lies in the packed set.
 
-        A short-circuiting row scan: O(deg) membership probes against the
-        packed hash set, never materializing a neighbor list.
+        One C-level ``isdisjoint`` over the row slice, stopping at the
+        first hit.
         """
-        self._compact()
-        indices = self._indices
-        start = self._indptr[v]
-        for i in range(start, start + self._deg[v]):
-            if indices[i] in packed:
-                return True
-        return False
+        return not packed.isdisjoint(self._row(v))
 
     def neighbor_colors(self, v: int, coloring: Mapping[int, int]) -> set[int]:
         """The colors that ``coloring`` assigns to neighbors of ``v``."""
-        self._compact()
-        start = self._indptr[v]
-        row = self._indices[start : start + self._deg[v]]
-        return {coloring[u] for u in row if u in coloring}
+        return {coloring[u] for u in self._row(v) if u in coloring}
 
     def confirmation_bits(
         self, awake: Iterable[int], chosen: Mapping[int, int]

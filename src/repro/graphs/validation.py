@@ -1,43 +1,58 @@
 """Validators for vertex, edge, and list colorings.
 
-Every protocol test ends by calling one of these; they are deliberately
-independent of the algorithms under test (straight re-checks of the
-definitions) so that a bug in an algorithm cannot hide in its validator.
+Each definition is checked once: :func:`vertex_coloring_problems` and
+:func:`edge_coloring_problems` list every way a coloring breaks it, and
+every other validator — the wrappers below, the contract audit in
+:mod:`repro.verify`, the weaker-output check in :mod:`repro.core.weaker`
+— is built on them.  They are straight re-checks of the definitions,
+independent of the algorithms, so a bug in an algorithm cannot hide in
+its validator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import starmap
+from operator import gt
 
 from .graph import Edge, Graph, canonical_edge
 
 __all__ = [
     "assert_proper_edge_coloring",
     "assert_proper_vertex_coloring",
+    "edge_coloring_problems",
     "is_proper_edge_coloring",
     "is_proper_list_coloring",
     "is_proper_vertex_coloring",
     "vertex_coloring_conflicts",
+    "vertex_coloring_problems",
 ]
 
 
-def is_proper_vertex_coloring(
+def vertex_coloring_problems(
     graph: Graph,
     colors: Mapping[int, int] | Sequence[int],
     num_colors: int | None = None,
-) -> bool:
-    """True if every vertex is colored and no edge is monochromatic.
+) -> list[str]:
+    """Every way ``colors`` fails to be a proper vertex coloring (empty = proper).
 
-    If ``num_colors`` is given, colors must additionally lie in
-    ``range(1, num_colors + 1)`` (the paper's palette ``[Δ+1]``).
+    One message per kind, with a count and examples: uncolored vertices,
+    colors outside ``range(1, num_colors + 1)`` (the paper's ``[Δ+1]``;
+    checked only when ``num_colors`` is given) and monochromatic edges.
     """
+    get = _getter(colors)
+    missing, outside = [], []
     for v in graph.vertices():
-        color = _lookup(colors, v)
+        color = get(v)
         if color is None:
-            return False
-        if num_colors is not None and not 1 <= color <= num_colors:
-            return False
-    return not vertex_coloring_conflicts(graph, colors)
+            missing.append(v)
+        elif num_colors is not None and not 1 <= color <= num_colors:
+            outside.append(v)
+    problems: list[str] = []
+    _note(problems, missing, "vertices uncolored")
+    _note(problems, outside, f"vertices outside palette [1..{num_colors}]")
+    _note(problems, vertex_coloring_conflicts(graph, colors), "monochromatic edges")
+    return problems
 
 
 def vertex_coloring_conflicts(
@@ -45,12 +60,62 @@ def vertex_coloring_conflicts(
     colors: Mapping[int, int] | Sequence[int],
 ) -> list[Edge]:
     """All monochromatic edges under a (possibly partial) coloring."""
+    get = _getter(colors)
     conflicts = []
     for u, v in graph.edges():
-        cu, cv = _lookup(colors, u), _lookup(colors, v)
-        if cu is not None and cu == cv:
+        cu = get(u)
+        if cu is not None and cu == get(v):
             conflicts.append((u, v))
     return conflicts
+
+
+def edge_coloring_problems(
+    graph: Graph,
+    colors: Mapping[Edge, int],
+    num_colors: int | None = None,
+) -> list[str]:
+    """Every way ``colors`` fails to be a proper edge coloring (empty = proper).
+
+    One message per kind, with a count and examples: uncolored edges,
+    colors outside ``range(1, num_colors + 1)`` (checked only when
+    ``num_colors`` is given) and incident edges that share a color.  Keys
+    may name an edge in either orientation; non-edges are ignored.
+    """
+    if any(starmap(gt, colors)):
+        colors = {canonical_edge(u, v): c for (u, v), c in colors.items()}
+    get = colors.get
+    missing, outside, clashes = [], [], []
+    # One walk over the rows meets each edge from both ends: per-edge facts
+    # are noted from the lower end, a clash once at the shared vertex.
+    for v in graph.vertices():
+        seen: dict[int, Edge] = {}
+        for u in graph.iter_neighbors(v):
+            edge = (v, u) if v < u else (u, v)
+            color = get(edge)
+            if color is None:
+                if v < u:
+                    missing.append(edge)
+                continue
+            if v < u and num_colors is not None and not 1 <= color <= num_colors:
+                outside.append(edge)
+            first = seen.setdefault(color, edge)
+            if first is not edge:
+                clashes.append(f"edges {first} and {edge} share color {color} at {v}")
+    problems: list[str] = []
+    _note(problems, missing, "edges uncolored")
+    _note(problems, outside, f"edges outside palette [1..{num_colors}]")
+    _note(problems, clashes, "color clashes")
+    return problems
+
+
+def is_proper_vertex_coloring(
+    graph: Graph,
+    colors: Mapping[int, int] | Sequence[int],
+    num_colors: int | None = None,
+) -> bool:
+    """True if every vertex is colored (within ``[1..num_colors]`` if given)
+    and no edge is monochromatic."""
+    return not vertex_coloring_problems(graph, colors, num_colors)
 
 
 def assert_proper_vertex_coloring(
@@ -59,17 +124,7 @@ def assert_proper_vertex_coloring(
     num_colors: int | None = None,
 ) -> None:
     """Raise ``AssertionError`` with a diagnostic if the coloring is improper."""
-    for v in graph.vertices():
-        color = _lookup(colors, v)
-        if color is None:
-            raise AssertionError(f"vertex {v} is uncolored")
-        if num_colors is not None and not 1 <= color <= num_colors:
-            raise AssertionError(
-                f"vertex {v} has color {color} outside palette [1..{num_colors}]"
-            )
-    conflicts = vertex_coloring_conflicts(graph, colors)
-    if conflicts:
-        raise AssertionError(f"monochromatic edges: {conflicts[:5]}")
+    _raise_if_any(vertex_coloring_problems(graph, colors, num_colors))
 
 
 def is_proper_edge_coloring(
@@ -78,11 +133,7 @@ def is_proper_edge_coloring(
     num_colors: int | None = None,
 ) -> bool:
     """True if every edge is colored and incident edges get distinct colors."""
-    try:
-        assert_proper_edge_coloring(graph, colors, num_colors)
-    except AssertionError:
-        return False
-    return True
+    return not edge_coloring_problems(graph, colors, num_colors)
 
 
 def assert_proper_edge_coloring(
@@ -91,25 +142,7 @@ def assert_proper_edge_coloring(
     num_colors: int | None = None,
 ) -> None:
     """Raise ``AssertionError`` with a diagnostic if the edge coloring is improper."""
-    normalized = {canonical_edge(u, v): c for (u, v), c in colors.items()}
-    for edge in graph.edges():
-        if edge not in normalized:
-            raise AssertionError(f"edge {edge} is uncolored")
-        color = normalized[edge]
-        if num_colors is not None and not 1 <= color <= num_colors:
-            raise AssertionError(
-                f"edge {edge} has color {color} outside palette [1..{num_colors}]"
-            )
-    for v in graph.vertices():
-        seen: dict[int, Edge] = {}
-        for u in graph.neighbors(v):
-            edge = canonical_edge(u, v)
-            color = normalized[edge]
-            if color in seen:
-                raise AssertionError(
-                    f"edges {seen[color]} and {edge} share color {color} at vertex {v}"
-                )
-            seen[color] = edge
+    _raise_if_any(edge_coloring_problems(graph, colors, num_colors))
 
 
 def is_proper_list_coloring(
@@ -118,17 +151,24 @@ def is_proper_list_coloring(
     lists: Mapping[int, set[int]],
 ) -> bool:
     """True if the coloring is proper and every vertex uses its own list."""
-    for v in graph.vertices():
-        color = colors.get(v)
-        if color is None or color not in lists.get(v, set()):
-            return False
-    return not vertex_coloring_conflicts(graph, colors)
+    return not vertex_coloring_problems(graph, colors) and all(
+        colors[v] in lists.get(v, ()) for v in graph.vertices()
+    )
 
 
-def _lookup(colors: Mapping[int, int] | Sequence[int], v: int):
-    """Color of ``v`` under either a mapping or a sequence, None if absent."""
+def _getter(colors: Mapping[int, int] | Sequence[int]):
+    """``v`` → color (None if absent) for a mapping or a sequence."""
     if isinstance(colors, Mapping):
-        return colors.get(v)
-    if 0 <= v < len(colors):
-        return colors[v]
-    return None
+        return colors.get
+    size = len(colors)
+    return lambda v: colors[v] if 0 <= v < size else None
+
+
+def _note(problems: list[str], items: list, what: str) -> None:
+    if items:
+        problems.append(f"{len(items)} {what}, e.g. {items[:3]}")
+
+
+def _raise_if_any(problems: list[str]) -> None:
+    if problems:
+        raise AssertionError("; ".join(problems))

@@ -5,7 +5,9 @@ Downstream users (and our own benches) repeatedly need the same audit:
 more than properness — the two-party model adds output-ownership rules
 (each party reports its own edges in the edge-coloring problem, both
 parties know all vertex colors in the vertex-coloring problem) and
-palette constraints.  These functions re-check everything from scratch
+palette constraints.  Each audit is the definition check from
+:mod:`repro.graphs.validation` plus the contract checks on top of it —
+declared palette, ownership and (Theorem 3) zero communication — all
 against the original :class:`~repro.graphs.partition.EdgePartition`.
 """
 
@@ -16,9 +18,7 @@ from dataclasses import dataclass, field
 from .core.edge_coloring import EdgeColoringResult
 from .core.vertex_coloring import VertexColoringResult
 from .graphs.partition import EdgePartition
-from .graphs.validation import (
-    vertex_coloring_conflicts,
-)
+from .graphs.validation import edge_coloring_problems, vertex_coloring_problems
 
 __all__ = ["VerificationReport", "verify_edge_result", "verify_vertex_result"]
 
@@ -54,31 +54,15 @@ def verify_vertex_result(
     result: VertexColoringResult,
 ) -> VerificationReport:
     """Audit a Theorem 1 result against the ``(Δ+1)``-vertex contract."""
-    report = VerificationReport()
     graph = partition.graph
     num_colors = partition.max_degree + 1
-
-    missing = [v for v in graph.vertices() if v not in result.colors]
-    if missing:
-        report.fail(f"{len(missing)} vertices uncolored, e.g. {missing[:3]}")
-    out_of_palette = [
-        v for v, c in result.colors.items() if not 1 <= c <= num_colors
-    ]
-    if out_of_palette:
-        report.fail(
-            f"{len(out_of_palette)} vertices outside palette [1..{num_colors}]"
-        )
-    conflicts = vertex_coloring_conflicts(graph, result.colors)
-    if conflicts:
-        report.fail(f"{len(conflicts)} monochromatic edges, e.g. {conflicts[:3]}")
+    report = VerificationReport(
+        vertex_coloring_problems(graph, result.colors, num_colors)
+    )
     if result.num_colors != num_colors:
         report.fail(
             f"result declares palette {result.num_colors}, expected {num_colors}"
         )
-    if result.transcript.rounds != result.rounds:
-        report.fail("result.rounds disagrees with its transcript")
-    if result.total_bits != result.transcript.total_bits:
-        report.fail("result.total_bits disagrees with its transcript")
     if result.leftover_size < 0 or result.leftover_size > graph.n:
         report.fail(f"implausible leftover size {result.leftover_size}")
     return report
@@ -94,43 +78,23 @@ def verify_edge_result(
     ``zero_communication`` additionally enforces Theorem 3's empty
     transcript and widens the palette to ``2Δ``.
     """
-    report = VerificationReport()
-    graph = partition.graph
     delta = partition.max_degree
     num_colors = max(2 * delta if zero_communication else 2 * delta - 1, 1)
-
-    if set(result.alice_colors) != set(partition.alice_edges):
+    report = VerificationReport()
+    if result.alice_colors.keys() != partition.alice_edges:
         report.fail("Alice's reported edges differ from her input edges")
-    if set(result.bob_colors) != set(partition.bob_edges):
+    if result.bob_colors.keys() != partition.bob_edges:
         report.fail("Bob's reported edges differ from his input edges")
-
-    merged = result.colors
-    out_of_palette = [
-        e for e, c in merged.items() if not 1 <= c <= num_colors
-    ]
-    if out_of_palette:
+    if result.num_colors != num_colors:
         report.fail(
-            f"{len(out_of_palette)} edges outside palette [1..{num_colors}], "
-            f"e.g. {out_of_palette[:3]}"
+            f"result declares palette {result.num_colors}, expected {num_colors}"
         )
-    for v in graph.vertices():
-        seen: dict[int, tuple[int, int]] = {}
-        for u in graph.neighbors(v):
-            edge = (min(u, v), max(u, v))
-            color = merged.get(edge)
-            if color is None:
-                report.fail(f"edge {edge} uncolored")
-                continue
-            if color in seen:
-                report.fail(
-                    f"edges {seen[color]} and {edge} share color {color} at {v}"
-                )
-                break
-            seen[color] = edge
-    if zero_communication and result.transcript.total_bits != 0:
-        report.fail(
-            f"zero-communication protocol spent {result.transcript.total_bits} bits"
-        )
-    if zero_communication and result.transcript.rounds != 0:
-        report.fail(f"zero-communication protocol used {result.transcript.rounds} rounds")
+    report.problems += edge_coloring_problems(
+        partition.graph, result.colors, num_colors
+    )
+    transcript = result.transcript
+    if zero_communication and transcript.total_bits != 0:
+        report.fail(f"zero-communication protocol spent {transcript.total_bits} bits")
+    if zero_communication and transcript.rounds != 0:
+        report.fail(f"zero-communication protocol used {transcript.rounds} rounds")
     return report

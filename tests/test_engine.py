@@ -136,6 +136,45 @@ def test_every_protocol_runs_one_tiny_scenario():
             assert record["total_bits"] == 0 and record["rounds"] == 0
 
 
+def _move_a_bob_edge_to_alice(result):
+    edge = next(iter(result.bob_colors))
+    result.alice_colors[edge] = result.bob_colors.pop(edge)
+
+
+def _record_a_round(result):
+    result.transcript.record_round(0, 0)
+
+
+def _misdeclare_the_palette(result):
+    result.num_colors += 1
+
+
+@pytest.mark.parametrize(
+    "protocol, driver, tamper",
+    [
+        ("edge", "run_edge_coloring", _move_a_bob_edge_to_alice),
+        ("edge_zero_comm", "run_zero_comm_edge_coloring", _record_a_round),
+        ("vertex", "run_vertex_coloring", _misdeclare_the_palette),
+    ],
+)
+def test_sweep_record_is_invalid_when_a_proper_result_breaks_the_contract(
+    monkeypatch, protocol, driver, tamper
+):
+    """Each adapter audits the model's contract, not just properness."""
+    import repro.engine.scenarios as scenarios
+
+    honest = getattr(scenarios, driver)
+
+    def tampered(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        tamper(result)
+        return result
+
+    monkeypatch.setattr(scenarios, driver, tampered)
+    record = run_scenario(_tiny(protocol))
+    assert record["valid"] is False
+
+
 def test_backend_rows_agree_in_sweep():
     scenarios = [_tiny("vertex", backend=b) for b in ("set", "csr")]
     set_row, csr_row = sweep(scenarios, jobs=1)

@@ -50,10 +50,11 @@ class TestVertexVerification:
         assert any("palette" in p for p in report.problems)
 
     def test_detects_transcript_mismatch(self, workload):
+        # A result's rounds and total_bits are properties that read its
+        # transcript, so they cannot disagree with it; the declared palette
+        # is the one stored summary field, and the audit checks it.
         res = run_vertex_coloring(workload, seed=1)
-        res.transcript.record_round(1, 0)  # desynchronize summary fields?
-        # rounds property reads the transcript, so tamper differently:
-        object.__setattr__(res, "num_colors", 4)
+        res.num_colors = 4
         report = verify_vertex_result(workload, res)
         assert any("palette 4" in p for p in report.problems)
 
@@ -87,6 +88,18 @@ class TestEdgeVerification:
         side1[e1] = side2[e2]
         report = verify_edge_result(workload, res)
         assert any("share color" in p for p in report.problems)
+
+    @pytest.mark.parametrize(
+        "driver, zero_communication",
+        [(run_edge_coloring, False), (run_zero_comm_edge_coloring, True)],
+    )
+    def test_detects_wrong_declared_palette(self, workload, driver, zero_communication):
+        res = driver(workload)
+        res.num_colors += 1
+        report = verify_edge_result(workload, res, zero_communication=zero_communication)
+        assert report.problems == [
+            f"result declares palette {res.num_colors}, expected {res.num_colors - 1}"
+        ]
 
     def test_detects_fake_zero_communication(self, workload):
         res = run_edge_coloring(workload)  # spent real bits
